@@ -1,6 +1,6 @@
 package jobs
 
-import repro.exp._
+import repro.exp.Report
 
 /** One spark-submit entrypoint per reproduced table (DESIGN.md Sec. 4).
   * Each prints the table rows plus the paper-vs-measured summary that
@@ -8,69 +8,16 @@ import repro.exp._
   * lives in the bench suite (it needs a SparkSession); all other tables
   * are driver-side and run anywhere.
   */
-object T1ModelConfigsJob {
-  def main(args: Array[String]): Unit = {
-    val rows = repro.costmodel.ModelConfigs.all.map(m =>
-      Seq(m.name, m.layers.toString, m.heads.toString, m.hidden.toString,
-          if (m.isMoE) s"top${m.topK}/${m.numExperts}" else "dense"))
-    println(Tables.render("T1 — model configurations (paper Table 1)",
-      Seq("model", "layers", "heads", "hidden", "type"), rows))
-  }
-}
-
-object E1ArchitectureJob {
-  def main(args: Array[String]): Unit = {
-    val rows = E1Architecture.run()
-    println(E1Architecture.table(rows)); println(E1Architecture.summary(rows))
-  }
-}
-
-object E2OrchestrationJob {
-  def main(args: Array[String]): Unit = {
-    val cells = E2Orchestration.sweep()
-    println(E2Orchestration.table(cells)); println(E2Orchestration.summary(cells))
-  }
-}
-
-object E3RedundancyJob {
-  def main(args: Array[String]): Unit = println(E3Redundancy.table(E3Redundancy.sweep()))
-}
-
-object E4SourceParallelJob {
-  def main(args: Array[String]): Unit = {
-    val rows = E4SourceParallel.sweep()
-    println(E4SourceParallel.table(rows)); println(E4SourceParallel.summary(rows))
-  }
-}
-
-object E5FaultToleranceJob {
-  def main(args: Array[String]): Unit = {
-    val rows = E5FaultTolerance.run()
-    println(E5FaultTolerance.table(rows)); println(E5FaultTolerance.summary(rows))
-  }
-}
-
-object E6AblationJob {
-  def main(args: Array[String]): Unit = println(E6Ablation.table(E6Ablation.sweep()))
-}
-
-object E7ScalabilityJob {
-  def main(args: Array[String]): Unit = {
-    val rows = E7Scalability.run()
-    println(E7Scalability.table(rows)); println(E7Scalability.summary(rows))
-  }
-}
+object T1ModelConfigsJob   { def main(args: Array[String]): Unit = println(Report.t1) }
+object E1ArchitectureJob   { def main(args: Array[String]): Unit = println(Report.e1) }
+object E2OrchestrationJob  { def main(args: Array[String]): Unit = println(Report.e2) }
+object E3RedundancyJob     { def main(args: Array[String]): Unit = println(Report.e3) }
+object E4SourceParallelJob { def main(args: Array[String]): Unit = println(Report.e4) }
+object E5FaultToleranceJob { def main(args: Array[String]): Unit = println(Report.e5) }
+object E6AblationJob       { def main(args: Array[String]): Unit = println(Report.e6) }
+object E7ScalabilityJob    { def main(args: Array[String]): Unit = println(Report.e7) }
 
 /** Runs every driver-side table in sequence. */
 object RunAll {
-  def main(args: Array[String]): Unit = {
-    T1ModelConfigsJob.main(args)
-    E1ArchitectureJob.main(args)
-    E2OrchestrationJob.main(args)
-    E3RedundancyJob.main(args)
-    E4SourceParallelJob.main(args)
-    E5FaultToleranceJob.main(args)
-    E6AblationJob.main(args)
-    E7ScalabilityJob.main(args)
-  }
+  def main(args: Array[String]): Unit = print(Report.all)
 }

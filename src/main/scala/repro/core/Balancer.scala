@@ -18,7 +18,8 @@ object Balancer {
     val out = Vector.fill(nBins)(Vector.newBuilder[T])
     items.zipWithIndex.foreach { case (t, i) =>
       // Block-deal: rank r receives the r-th contiguous run of the stream.
-      out(math.min(nBins - 1, i * nBins / math.max(1, items.size))) += t
+      // Long: i * nBins passes Int.MaxValue at 4k-GPU scale.
+      out(math.min(nBins - 1, (i.toLong * nBins / math.max(1, items.size)).toInt)) += t
     }
     out.map(_.result())
   }
@@ -79,9 +80,11 @@ object Balancer {
     }
 
   /** max/mean load across bins; 1.0 means perfectly balanced. */
-  def imbalance[T](bins: Seq[Seq[T]], cost: T => Double): Double = {
-    val loads = bins.map(_.map(cost).sum)
-    val mean  = loads.sum / math.max(1, loads.size)
+  def imbalance[T](bins: Seq[Seq[T]], cost: T => Double): Double = imbalance(bins.map(_.map(cost).sum))
+
+  /** max/mean of per-bin loads; 1.0 means perfectly balanced. */
+  def imbalance(loads: Seq[Double]): Double = {
+    val mean = loads.sum / math.max(1, loads.size)
     if (mean == 0.0) 1.0 else loads.max / mean
   }
 }

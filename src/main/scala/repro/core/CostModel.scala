@@ -30,7 +30,4 @@ object CostFns {
     * where length doubles as an HBM-occupation metric.
     */
   val seqLen: SampleMeta => Double = _.seqLen.toDouble
-
-  /** Image count per sample — the simple VLM encoder cost model. */
-  val imageCount: SampleMeta => Double = m => if (m.imgPatches > 0) 1.0 else 0.0
 }

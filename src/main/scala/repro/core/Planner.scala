@@ -21,8 +21,10 @@ final case class StepPlan(
   def totalTokens: Long            = allSeqs.map(_.tokens).sum
 }
 
-/** One row of the plan as the Spark Data Constructor consumes it. */
-final case class PlanRow(sampleId: Long, source: String, bucket: Int, bin: Int, seqId: Long)
+/** One row of the plan as the Spark Data Constructor consumes it: `pos`
+  * is the sample's segment position in packed sequence `seqId`.
+  */
+final case class PlanRow(sampleId: Long, source: String, bucket: Int, bin: Int, seqId: Long, pos: Int)
 
 /** The Planner (Sec. 3): synthesizes loading plans from Source Loader
   * buffer metadata. The three orchestration strategies here are the
@@ -38,22 +40,18 @@ object Planner {
       case s if s.imgPatches > 0 => ImageItem(s.id, s.source, s.imgPatches)
     }.toVector
 
-  /** GPU world-ranks that serve DP bucket `b` (its CP/TP/PP replicas act
-    * as the encoder's data-parallel shards for that bucket's images).
-    */
-  private def ranksOfBucket(tree: ClientPlaceTree, b: Int): Vector[Int] =
-    tree.clients.filter(_.dp == b).map(_.rank)
-
   /** Images follow their sequence's bucket: dealt in order over the
-    * bucket's own GPU ranks (the coordination-free placement both Vanilla
+    * bucket's own GPU ranks, its CP/TP/PP replicas acting as the encoder's
+    * data-parallel shards (the coordination-free placement both Vanilla
     * and Backbone-balance use).
     */
   private def colocatedEncoderCells(tree: ClientPlaceTree, nBins: Int,
                                     backbone: Vector[Vector[Vector[PackedSeq]]])
       : Vector[Vector[Vector[ImageItem]]] = {
     val cells = Array.fill(tree.world, nBins)(Vector.newBuilder[ImageItem])
+    val bucketRanks = tree.bucketClients("DP").map(_.map(_.rank))
     for (b <- backbone.indices; m <- 0 until nBins) {
-      val ranks = ranksOfBucket(tree, b)
+      val ranks = bucketRanks(b)
       imagesOf(backbone(b)(m)).zipWithIndex.foreach { case (img, i) =>
         cells(ranks(i % ranks.size))(m) += img
       }
@@ -78,23 +76,25 @@ object Planner {
     StepPlan(tree, nBins, backbone, colocatedEncoderCells(tree, nBins, backbone))
   }
 
+  /** Packs the buffer, then cost-balances the sequences over DP buckets
+    * and over bins within each: the backbone grid of both balanced
+    * strategies.
+    */
+  private def balancedBackbone(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long, nBins: Int,
+                               bb: ModelConfig, method: String): Vector[Vector[Vector[PackedSeq]]] =
+    Orchestration.packed(tree, Packing.firstFit(buffer, ctx))
+      .distribute("DP")
+      .cost(CostFns.backbone(bb))
+      .balance(method, nBins)
+      .plan()
+
   /** Inter-microbatch balancing on the LLM backbone only: sequences are
     * cost-balanced over DP buckets then over bins; images still follow
     * their sequences.
     */
   def backboneBalance(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long,
                       nBins: Int, bb: ModelConfig, method: String = "greedybinpack"): StepPlan = {
-    val seqs = Packing.firstFit(buffer, ctx)
-    val plan = Orchestration.packed(tree, seqs)
-      .distribute("DP")
-      .cost(CostFns.backbone(bb))
-      .balance(method, nBins)
-      .broadcastAt("TP")
-      .plan()
-    val byKey = seqs.map(s => s.seqId -> s).toMap
-    val backbone = Vector.tabulate(tree.dp, nBins) { (b, m) =>
-      plan.assignments.filter(a => a.bucket == b && a.bin == m).map(a => byKey(a.itemKey))
-    }
+    val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb, method)
     StepPlan(tree, nBins, backbone, colocatedEncoderCells(tree, nBins, backbone))
   }
 
@@ -105,37 +105,22 @@ object Planner {
   def hybridBalance(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long,
                     nBins: Int, bb: ModelConfig, enc: ModelConfig,
                     method: String = "greedybinpack"): StepPlan = {
-    val base = backboneBalance(buffer, tree, ctx, nBins, bb, method)
-    val encCost = CostFns.encoder(enc)
-    val encoder = {
-      val cells = Array.fill(tree.world, nBins)(Vector.empty[ImageItem])
-      for (m <- 0 until nBins) {
-        val binImages = base.backboneCells.flatMap(bucket => imagesOf(bucket(m)))
-        Balancer.greedyBinPack(binImages, tree.world, encCost).zipWithIndex.foreach {
-          case (imgs, r) => cells(r)(m) = imgs
-        }
-      }
-      Vector.tabulate(tree.world, nBins)((r, m) => cells(r)(m))
+    val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb, method)
+    val perBin = Vector.tabulate(nBins) { m =>
+      Balancer.greedyBinPack(backbone.flatMap(bucket => imagesOf(bucket(m))), tree.world, CostFns.encoder(enc))
     }
-    base.copy(encoderCells = encoder)
-  }
-
-  def byName(strategy: String, buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long,
-             nBins: Int, bb: ModelConfig, enc: ModelConfig): StepPlan = strategy match {
-    case "vanilla"  => vanilla(buffer, tree, ctx, nBins)
-    case "backbone" => backboneBalance(buffer, tree, ctx, nBins, bb)
-    case "hybrid"   => hybridBalance(buffer, tree, ctx, nBins, bb, enc)
-    case other      => sys.error(s"unknown strategy $other")
+    StepPlan(tree, nBins, backbone, Vector.tabulate(tree.world, nBins)((r, m) => perBin(m)(r)))
   }
 
   /** Flattens a step plan to sample-level rows for the Spark Data
-    * Constructor (sample -> dp bucket, microbatch, packed sequence).
+    * Constructor (sample -> dp bucket, microbatch, packed sequence and
+    * position in it).
     */
   def planRows(plan: StepPlan): Vector[PlanRow] =
     for {
       (bucket, b) <- plan.backboneCells.zipWithIndex
       (bin, m)    <- bucket.zipWithIndex
       seq         <- bin
-      s           <- seq.segments
-    } yield PlanRow(s.id, s.source, b, m, seq.seqId)
+      (s, pos)    <- seq.segments.zipWithIndex
+    } yield PlanRow(s.id, s.source, b, m, seq.seqId, pos)
 }

@@ -4,22 +4,22 @@ package repro.core
   * model. A strategy is written as a chain
   *
   * {{{
-  * Orchestration(tree, items)(key, sampleIds)
+  * Orchestration(tree, items, sampleIds)
   *   .distribute("DP")
   *   .cost(fn)
   *   .broadcastAt("TP")
   *   .balance("greedybinpack", nBins = m)
-  *   .plan(step)
+  *   .plan()
   * }}}
   *
-  * `T` is whatever the strategy schedules — `SampleMeta`, `PackedSeq`, or
-  * `ImageItem` — mirroring the paper's per-modality DGraphs built from the
-  * same shared buffer.
+  * `T` is whatever the strategy schedules — `SampleMeta` or `PackedSeq` —
+  * mirroring the paper's per-modality DGraphs built from the same shared
+  * buffer. `plan()` returns the [bucket][bin] grid `StepPlan` holds, and
+  * `consumers` says which clients fetch each bucket.
   */
 final case class Orchestration[T](
     tree: ClientPlaceTree,
     items: Vector[T],
-    key: T => Long,
     sampleIds: T => Seq[Long],
     axis: String = "DP",
     groupSize: Int = 1,
@@ -57,7 +57,8 @@ final case class Orchestration[T](
     */
   def broadcastAt(dim: String): Orchestration[T] = copy(broadcastDims = broadcastDims + dim)
 
-  /** plan(): run the balancing hierarchy and emit the loading plan.
+  /** plan(): run the balancing hierarchy and emit the plan as a
+    * [bucket][bin] -> items grid.
     *
     * Bucket level: with `groupSize` g, items are first balanced over
     * ceil(n/g) superbuckets, then balanced again within each superbucket
@@ -65,7 +66,7 @@ final case class Orchestration[T](
     * into `nBins` microbatch bins (inter-microbatch balancing), with the
     * same method, or dealt in order when `intraBinReorder` is off.
     */
-  def plan(step: Int = 0): LoadingPlan = {
+  def plan(): Vector[Vector[Vector[T]]] = {
     val n      = tree.bucketCount(axis)
     val nSuper = math.ceil(n.toDouble / groupSize).toInt
     val superBuckets = Balancer.byName(method, items, nSuper, costFn)
@@ -76,44 +77,37 @@ final case class Orchestration[T](
     }
     val perBucket = buckets.result()
     require(perBucket.size == n, s"bucket construction bug: ${perBucket.size} != $n")
-
-    val assignments = perBucket.zipWithIndex.flatMap { case (bucketItems, b) =>
-      val bins =
-        if (intraBinReorder) Balancer.byName(method, bucketItems, nBins, costFn)
-        else Balancer.sequential(bucketItems, nBins)
-      bins.zipWithIndex.flatMap { case (binItems, m) =>
-        binItems.map(t => ItemAssignment(key(t), sampleIds(t), b, m, costFn(t)))
-      }
+    perBucket.map { bucketItems =>
+      if (intraBinReorder) Balancer.byName(method, bucketItems, nBins, costFn)
+      else Balancer.sequential(bucketItems, nBins)
     }
-    val consumers = tree.bucketClients(axis).map(cs => tree.broadcastFilter(cs, broadcastDims))
-    LoadingPlan(step, axis, n, nBins, assignments, consumers)
   }
+
+  /** Per bucket, the clients that fetch payloads after `broadcast_at`
+    * thinning; PP>0 clients fetch metadata only.
+    */
+  def consumers: Vector[Vector[ClientRef]] =
+    tree.bucketClients(axis).map(tree.broadcastFilter(_, broadcastDims))
 
   /** Records the plan into a DGraph: sampled items transition to
     * Assigned(bucket, bin), giving the lineage view of Sec. 4.1.
     */
-  def planInto(g: DGraph, step: Int = 0): (LoadingPlan, DGraph) = {
-    val p = plan(step)
-    val assignedState: Map[Long, SampleState] = p.assignments.flatMap { a =>
-      a.sampleIds.map(_ -> SampleState.Assigned(a.bucket, a.bin))
-    }.toMap
-    val g2 = assignedState.foldLeft(g) { case (acc, (id, st)) =>
-      if (acc.ids.contains(id)) acc.transition(id, st, Some(s"balance:$method")) else acc
-    }
-    (p, g2)
+  def planInto(g: DGraph): (Vector[Vector[Vector[T]]], DGraph) = {
+    val p = plan()
+    val assigned = for {
+      (bucket, b) <- p.zipWithIndex; (bin, m) <- bucket.zipWithIndex; t <- bin; id <- sampleIds(t)
+      if g.ids.contains(id)
+    } yield id -> SampleState.Assigned(b, m)
+    (p, assigned.foldLeft(g) { case (acc, (id, st)) => acc.transition(id, st, Some(s"balance:$method")) })
   }
 }
 
 object Orchestration {
   /** Entry point over raw sample metadata. */
   def samples(tree: ClientPlaceTree, items: Seq[SampleMeta]): Orchestration[SampleMeta] =
-    Orchestration[SampleMeta](tree, items.toVector, _.id, m => Seq(m.id))
+    Orchestration[SampleMeta](tree, items.toVector, m => Seq(m.id))
 
   /** Entry point over packed sequences (backbone scheduling). */
   def packed(tree: ClientPlaceTree, items: Seq[repro.data.PackedSeq]): Orchestration[repro.data.PackedSeq] =
-    Orchestration[repro.data.PackedSeq](tree, items.toVector, _.seqId, _.segments.map(_.id))
-
-  /** Entry point over image items (encoder scheduling). */
-  def images(tree: ClientPlaceTree, items: Seq[ImageItem]): Orchestration[ImageItem] =
-    Orchestration[ImageItem](tree, items.toVector, _.sampleId, i => Seq(i.sampleId))
+    Orchestration[repro.data.PackedSeq](tree, items.toVector, _.segments.map(_.id))
 }

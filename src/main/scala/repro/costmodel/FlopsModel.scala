@@ -47,11 +47,4 @@ object FlopsModel {
   /** FLOPs of a bag of images through the encoder. */
   def images(enc: ModelConfig, patchCounts: Seq[Long]): Double =
     patchCounts.iterator.map(image(enc, _)).sum
-
-  /** Relative imbalance of a cost vector: max / mean. 1.0 is perfect. */
-  def imbalance(costs: Seq[Double]): Double = {
-    require(costs.nonEmpty, "empty cost vector")
-    val mean = costs.sum / costs.size
-    if (mean == 0.0) 1.0 else costs.max / mean
-  }
 }

@@ -34,11 +34,11 @@ object E2Orchestration {
   def runCell(dataset: String, bb: ModelConfig, enc: ModelConfig, ctx: Long): Cell = {
     val group = SourceCatalog.byName(dataset)
     val tps = Array(0.0, 0.0, 0.0)
-    val strategies = Seq("vanilla", "backbone", "hybrid")
     (0 until steps).foreach { step =>
       val buffer = Workload.stepBuffer(group, tree.dp, nBins, ctx, step)
-      strategies.zipWithIndex.foreach { case (s, i) =>
-        val plan = Planner.byName(s, buffer, tree, ctx, nBins, bb, enc)
+      Seq(Planner.vanilla(buffer, tree, ctx, nBins),
+          Planner.backboneBalance(buffer, tree, ctx, nBins, bb),
+          Planner.hybridBalance(buffer, tree, ctx, nBins, bb, enc)).zipWithIndex.foreach { case (plan, i) =>
         tps(i) += TrainSim.simulate(plan, bb, enc).throughputTokPerSec
       }
     }

@@ -18,6 +18,5 @@ object Tables {
   def f1(x: Double): String = f"$x%.1f"
   def f2(x: Double): String = f"$x%.2f"
   def f3(x: Double): String = f"$x%.3f"
-  def gb(bytes: Double): String = f"${bytes / (1024.0 * 1024 * 1024)}%.1f"
   def sci(x: Double): String = f"$x%.3g"
 }

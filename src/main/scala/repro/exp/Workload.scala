@@ -19,17 +19,6 @@ object Workload {
     rnd.shuffle(MultiSourceGen.groupMetas(group, perSource, seed))
   }
 
-  /** Prefix of `pool` covering at least `targetTokens` backbone tokens. */
-  def takeTokens(pool: Vector[SampleMeta], targetTokens: Long): Vector[SampleMeta] = {
-    var acc = 0L
-    val out = Vector.newBuilder[SampleMeta]
-    val it  = pool.iterator
-    while (acc < targetTokens && it.hasNext) {
-      val s = it.next(); out += s; acc += s.seqLen
-    }
-    out.result()
-  }
-
   /** One step's buffer: a fixed per-rank *sample* batch (the trainer sets
     * batch size in samples; token totals then vary with the draw, exactly
     * the Sec. 2.3 imbalance source). Distinct steps reseed the pool so

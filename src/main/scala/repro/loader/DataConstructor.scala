@@ -16,10 +16,10 @@ import repro.core.{ClientPlaceTree, PlanRow}
   */
 object DataConstructor {
 
-  /** The loading plan as a small DataFrame the join can consume. */
+  /** The plan rows as a small DataFrame the join can consume. */
   def planDf(spark: SparkSession, rows: Seq[PlanRow]): DataFrame = {
     import spark.implicits._
-    rows.toDF("sampleId", "source", "bucket", "bin", "seqId")
+    rows.toDF("sampleId", "source", "bucket", "bin", "seqId", "pos")
   }
 
   /** Packed, padded per-(bucket, microbatch) sequences.
@@ -41,9 +41,9 @@ object DataConstructor {
       .groupBy("bucket", "bin", "seqId")
       .agg(
         count(lit(1))                                   as "n_segments",
-        // Pack order == sample-id order in this reproduction, so the
-        // sorted struct array recovers the segment sequence.
-        expr("transform(sort_array(collect_list(struct(sampleId, seq_len))), x -> x.seq_len)")
+        // collect_list follows shuffle order, so the segments are put
+        // back in pack order by their planned position.
+        expr("transform(sort_array(collect_list(struct(pos, seq_len))), x -> x.seq_len)")
                                                         as "seg_lens",
         sum("seq_len")                                  as "tokens",
         sum("pbytes")                                   as "payload_bytes",

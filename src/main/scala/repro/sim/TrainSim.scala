@@ -1,6 +1,6 @@
 package repro.sim
 
-import repro.core.StepPlan
+import repro.core.{Balancer, StepPlan}
 import repro.costmodel.{FlopsModel, ModelConfig}
 
 /** Iteration-time simulator over a planned step (reproduces the Fig. 13
@@ -50,7 +50,6 @@ object TrainSim {
     val iterTime  = perBinMax.sum * bubble
 
     val perGpu = (0 until tree.world).map(r => (0 until nBins).map(busy(r)(_)).sum)
-    val mean   = perGpu.sum / perGpu.size
     val mbF    = for (r <- 0 until tree.world; m <- 0 until nBins) yield binFlops(r)(m)
     val posF   = mbF.filter(_ > 0)
 
@@ -58,7 +57,7 @@ object TrainSim {
       iterTimeSec = iterTime,
       tokens = plan.totalTokens,
       throughputTokPerSec = if (iterTime == 0) 0 else plan.totalTokens / iterTime,
-      gpuImbalance = if (mean == 0) 1.0 else perGpu.max / mean,
+      gpuImbalance = Balancer.imbalance(perGpu),
       maxMicrobatchFlops = if (posF.isEmpty) 0 else posF.max,
       minMicrobatchFlops = if (posF.isEmpty) 0 else posF.min,
     )

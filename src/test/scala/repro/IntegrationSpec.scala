@@ -9,7 +9,7 @@ import repro.sim.TrainSim
 
 /** End-to-end integration of the whole OVERLORD workflow (Sec. 3 Fig. 7):
   * Source Loaders buffer metadata -> Planner mixes per a curriculum
-  * schedule -> DGraph tracks lineage -> balance produces a LoadingPlan ->
+  * schedule -> DGraph tracks lineage -> balance produces the plan grid ->
   * Data Constructors collate on Spark -> delivery respects hybrid
   * parallelism -> the training-step simulator consumes the plan.
   */
@@ -58,9 +58,10 @@ class IntegrationSpec extends SparkSpec {
     var g = DGraph.fromBuffer(buffer)
     g = g.transitionAll(sampled.map(_.id), _ => SampleState.Sampled, Some("mix"))
 
-    val (plan, g2) = Orchestration.samples(tree, sampled)
+    val orch = Orchestration.samples(tree, sampled)
       .distribute("DP").cost(CostFns.seqLen)
-      .balance("greedybinpack", nBins).broadcastAt("TP").planInto(g)
+      .balance("greedybinpack", nBins).broadcastAt("TP")
+    val (_, g2) = orch.planInto(g)
 
     sampled.foreach { m =>
       assert(g2.history(m.id).take(2) == Vector("buffered", "sampled"))
@@ -71,7 +72,7 @@ class IntegrationSpec extends SparkSpec {
       assert(g2.stateOf(m.id) == SampleState.Buffered)
     }
     assert(g2.isAcyclic)
-    assert(plan.consumers.flatten.forall(_.tp == 0))
+    assert(orch.consumers.flatten.forall(_.tp == 0))
   }
 
   test("oracle: constructed microbatch sizes match a pure-SQL computation") {

@@ -1,50 +1,43 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.loader.SourceLoader
 
-/** Oracle plumbing checks over the provided TPC-H-lite generators: the
-  * DuckDB cross-check must agree with Spark on straightforward SQL and
-  * must catch a deliberately wrong result.
+/** Oracle plumbing checks over the coyo Parquet fixture: the DuckDB
+  * cross-check must agree with Spark on straightforward SQL and must
+  * catch a deliberately wrong result.
   */
 class OracleSpec extends SparkSpec {
-  lazy val li = SynthData.lineitem(spark, sf = 0.001).cache()
-
-  test("aggregate equivalence on lineitem") {
-    val df = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt", round(sum("l_quantity"), 2) as "qty")
-      .select("l_returnflag", "cnt", "qty")
-    Oracle.assertEquivalent(df,
-      "SELECT l_returnflag, count(*) AS cnt, round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty " +
-        "FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+  lazy val rows = {
+    SparkTestData.ensure(spark)
+    SparkTestData.group.sources.map(SourceLoader(_, SparkTestData.dir).scan(spark))
+      .reduce(_ unionByName _).select("id", "source", "text_len", "img_patches").cache()
   }
 
-  test("join equivalence between orders and customer") {
-    val o = SynthData.orders(spark, sf = 0.001)
-    val c = SynthData.customer(spark, sf = 0.001)
-    val df = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)) as "n")
+  test("aggregate equivalence on the coyo source rows") {
+    val df = rows.groupBy("source")
+      .agg(count(lit(1)) as "cnt", sum("text_len") as "text", max("img_patches") as "patches")
     Oracle.assertEquivalent(df,
-      "SELECT c_mktsegment, count(*) AS n FROM orders o JOIN customer c " +
-        "ON CAST(o.o_custkey AS BIGINT) = CAST(c.c_custkey AS BIGINT) GROUP BY c_mktsegment",
-      "orders" -> o, "customer" -> c)
+      "SELECT source, count(*) AS cnt, sum(CAST(text_len AS BIGINT)) AS text, " +
+        "max(CAST(img_patches AS BIGINT)) AS patches FROM samples GROUP BY source",
+      "samples" -> rows)
   }
 
   test("a wrong Spark result is rejected") {
-    val df = li.groupBy("l_returnflag").agg((count(lit(1)) + 1) as "cnt")
+    val df = rows.groupBy("source").agg((count(lit(1)) + 1) as "cnt")
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(df,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT source, count(*) AS cnt FROM samples GROUP BY source",
+        "samples" -> rows)
     }
   }
 
   test("a column-name mismatch is rejected with guidance") {
-    val df = li.groupBy("l_returnflag").agg(count(lit(1)) as "wrong_name")
+    val df = rows.groupBy("source").agg(count(lit(1)) as "wrong_name")
     val e = intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(df,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT source, count(*) AS cnt FROM samples GROUP BY source",
+        "samples" -> rows)
     }
     assert(e.getMessage.contains("alias"))
   }

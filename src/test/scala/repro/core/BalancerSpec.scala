@@ -28,6 +28,14 @@ class BalancerSpec extends AnyFunSuite {
     assert(bins.flatten.sorted == Vector(1, 2) && bins.size == 4)
   }
 
+  test("sequential deals 600k items over 4096 bins without overflow") {
+    val items = Vector.range(0, 600000)
+    val bins  = Balancer.sequential(items, 4096)
+    assert(bins.size == 4096)
+    assert(bins.flatten == items) // contiguous, in order, each item once
+    assert(bins.forall(b => b.size == 146 || b.size == 147))
+  }
+
   test("greedy assigns every item exactly once") {
     val items = skewed(100)
     val bins  = Balancer.greedyBinPack(items, 7, id)

@@ -46,7 +46,7 @@ class PlannerSpec extends AnyFunSuite {
   }
 
   test("no packed sequence exceeds the context length") {
-    val p = Planner.byName("hybrid", buffer(), tree, ctx, nBins, bb, enc)
+    val p = Planner.hybridBalance(buffer(), tree, ctx, nBins, bb, enc)
     assert(p.allSeqs.forall(_.tokens <= ctx))
   }
 
@@ -63,23 +63,14 @@ class PlannerSpec extends AnyFunSuite {
 
   test("backbone balance lowers per-bucket cost imbalance vs vanilla") {
     val buf  = buffer()
-    val cost = CostFns.backbone(bb)
-    def bucketImb(p: StepPlan): Double = {
-      val loads = p.backboneCells.map(_.flatten.map(cost).sum)
-      loads.max / (loads.sum / loads.size)
-    }
+    def bucketImb(p: StepPlan): Double = Balancer.imbalance(p.backboneCells.map(_.flatten), CostFns.backbone(bb))
     assert(bucketImb(Planner.backboneBalance(buf, tree, ctx, nBins, bb)) <=
            bucketImb(Planner.vanilla(buf, tree, ctx, nBins)))
   }
 
   test("hybrid balance lowers encoder imbalance vs backbone-only") {
     val buf  = buffer()
-    val cost = CostFns.encoder(enc)
-    def encImb(p: StepPlan): Double = {
-      val loads = (0 until tree.world).map(r => p.encoderCells(r).flatten.map(cost).sum)
-      val mean  = loads.sum / loads.size
-      if (mean == 0) 1.0 else loads.max / mean
-    }
+    def encImb(p: StepPlan): Double = Balancer.imbalance(p.encoderCells.map(_.flatten), CostFns.encoder(enc))
     val hb = encImb(Planner.hybridBalance(buf, tree, ctx, nBins, bb, enc))
     val bo = encImb(Planner.backboneBalance(buf, tree, ctx, nBins, bb))
     assert(hb <= bo)
@@ -96,8 +87,10 @@ class PlannerSpec extends AnyFunSuite {
   }
 
   test("seqIds are unique within a plan") {
-    Seq("vanilla", "backbone", "hybrid").foreach { s =>
-      val p = Planner.byName(s, buffer(), tree, ctx, nBins, bb, enc)
+    val buf = buffer()
+    Seq("vanilla"  -> Planner.vanilla(buf, tree, ctx, nBins),
+        "backbone" -> Planner.backboneBalance(buf, tree, ctx, nBins, bb),
+        "hybrid"   -> Planner.hybridBalance(buf, tree, ctx, nBins, bb, enc)).foreach { case (s, p) =>
       val ids = p.allSeqs.map(_.seqId)
       assert(ids.distinct.size == ids.size, s"duplicate seqIds under $s")
     }
@@ -111,10 +104,6 @@ class PlannerSpec extends AnyFunSuite {
     assert(rows.forall(r => r.bucket < tree.dp && r.bin < nBins))
     val bySeq = rows.groupBy(r => (r.bucket, r.bin, r.seqId))
     assert(bySeq.values.forall(_.map(_.sampleId).distinct.size > 0))
-  }
-
-  test("byName rejects unknown strategies") {
-    intercept[RuntimeException](Planner.byName("magic", buffer(), tree, ctx, nBins, bb, enc))
   }
 
   test("imagesOf extracts only image-bearing samples") {

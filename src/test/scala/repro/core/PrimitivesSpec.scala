@@ -19,38 +19,38 @@ class PrimitivesSpec extends AnyFunSuite {
 
   test("plan covers every item exactly once") {
     val p = orch(metas(40)).distribute("DP").cost(CostFns.seqLen).balance("greedybinpack", 4).plan()
-    assert(p.assignments.map(_.itemKey).sorted == (0L until 40L).toVector)
+    assert(p.flatten.flatten.map(_.id).sorted == (0L until 40L).toVector)
   }
 
   test("plan respects bucket and bin counts") {
     val p = orch(metas(40)).distribute("DP").balance("greedybinpack", 4).plan()
-    assert(p.nBuckets == 4 && p.nBins == 4)
-    assert(p.assignments.forall(a => a.bucket < 4 && a.bin < 4))
+    assert(p.size == 4 && p.forall(_.size == 4))
   }
 
   test("WORLD axis creates one bucket per rank") {
     val p = orch(metas(16)).distribute("WORLD").plan()
-    assert(p.nBuckets == tree.world)
+    assert(p.size == tree.world)
   }
 
   test("groupSize subgrouping still yields full bucket coverage") {
     val p = orch(metas(60)).distribute("DP", groupSize = 2)
       .cost(CostFns.seqLen).balance("greedybinpack", 2).plan()
-    assert(p.nBuckets == 4)
-    assert(p.assignments.map(_.itemKey).distinct.size == 60)
-    assert((0 until 4).forall(b => p.assignments.exists(_.bucket == b)))
+    assert(p.size == 4)
+    assert(p.flatten.flatten.map(_.id).distinct.size == 60)
+    assert(p.forall(_.flatten.nonEmpty))
   }
 
   test("balanced plan has lower bucket imbalance than sequential") {
     val items = metas(200, seed = 9)
     val bal = orch(items).distribute("DP").cost(CostFns.seqLen).balance("greedybinpack", 4).plan()
     val seq = orch(items).distribute("DP").cost(CostFns.seqLen).balance("sequential", 4).plan()
-    assert(bal.imbalance <= seq.imbalance)
+    assert(Balancer.imbalance(bal.map(_.flatten), CostFns.seqLen) <=
+           Balancer.imbalance(seq.map(_.flatten), CostFns.seqLen))
   }
 
   test("broadcastAt(TP) halves the consumer set") {
-    val base = orch(metas(8)).distribute("DP").plan()
-    val thin = orch(metas(8)).distribute("DP").broadcastAt("TP").plan()
+    val base = orch(metas(8)).distribute("DP")
+    val thin = orch(metas(8)).distribute("DP").broadcastAt("TP")
     assert(base.consumers.map(_.size).sum == tree.world)
     assert(thin.consumers.map(_.size).sum == tree.world / 2)
     assert(thin.consumers.flatten.forall(_.tp == 0))
@@ -60,29 +60,10 @@ class PrimitivesSpec extends AnyFunSuite {
     val items = metas(24)
     val p = orch(items).distribute("DP").cost(CostFns.seqLen)
       .balance("sequential", 3, intraBinReorder = false).plan()
-    (0 until 4).foreach { b =>
-      val inBucket = p.assignments.filter(_.bucket == b).sortBy(_.bin).map(_.itemKey)
+    p.foreach { bucket =>
+      val inBucket = bucket.flatten.map(_.id)
       assert(inBucket == inBucket.sorted) // sequential deal preserves ids
     }
-  }
-
-  test("cost function values are recorded on assignments") {
-    val p = orch(metas(10)).distribute("DP").cost(_.seqLen * 2.0).balance("greedybinpack", 2).plan()
-    val byKey = metas(10).map(m => m.id -> m).toMap
-    assert(p.assignments.forall(a => a.cost == byKey(a.itemKey).seqLen * 2.0))
-  }
-
-  test("bucketLoads and binLoads sum to the total cost") {
-    val items = metas(30)
-    val p = orch(items).distribute("DP").cost(CostFns.seqLen).balance("greedybinpack", 3).plan()
-    val total = items.map(_.seqLen.toDouble).sum
-    assert(math.abs(p.bucketLoads.sum - total) < 1e-6)
-    assert(math.abs((0 until 4).map(b => p.binLoads(b).sum).sum - total) < 1e-6)
-  }
-
-  test("cells map every (bucket, bin) pair it mentions to its items") {
-    val p = orch(metas(30)).distribute("DP").balance("sequential", 2).plan()
-    assert(p.cells.values.map(_.size).sum == 30)
   }
 
   test("planInto transitions sampled items to Assigned in the DGraph") {
@@ -90,18 +71,19 @@ class PrimitivesSpec extends AnyFunSuite {
     val g = DGraph.fromBuffer(items)
     val (p, g2) = orch(items).distribute("DP").cost(CostFns.seqLen)
       .balance("greedybinpack", 2).planInto(g)
+    val cell = (for ((bucket, b) <- p.zipWithIndex; (bin, m) <- bucket.zipWithIndex; t <- bin)
+      yield t.id -> (b, m)).toMap
     items.foreach { m =>
-      val st = g2.stateOf(m.id)
-      val a  = p.assignments.find(_.itemKey == m.id).get
-      assert(st == SampleState.Assigned(a.bucket, a.bin))
+      val (b, bin) = cell(m.id)
+      assert(g2.stateOf(m.id) == SampleState.Assigned(b, bin))
     }
   }
 
   test("packed-sequence orchestration expands to member sample ids") {
     val seqs = repro.data.Packing.firstFit(metas(20), 1024)
-    val p = Orchestration.packed(tree, seqs).distribute("DP")
+    val orch = Orchestration.packed(tree, seqs).distribute("DP")
       .cost(CostFns.backbone(repro.costmodel.ModelConfigs.Llama12B))
-      .balance("greedybinpack", 2).plan()
-    assert(p.assignments.flatMap(_.sampleIds).sorted == (0L until 20L).toVector)
+      .balance("greedybinpack", 2)
+    assert(orch.plan().flatten.flatten.flatMap(orch.sampleIds).sorted == (0L until 20L).toVector)
   }
 }

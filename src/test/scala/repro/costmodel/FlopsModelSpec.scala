@@ -61,12 +61,6 @@ class FlopsModelSpec extends AnyFunSuite {
       FlopsModel.image(enc, 100) + FlopsModel.image(enc, 200))
   }
 
-  test("imbalance of a uniform vector is 1, of a skewed one > 1") {
-    assert(FlopsModel.imbalance(Seq(2.0, 2.0)) == 1.0)
-    assert(FlopsModel.imbalance(Seq(3.0, 1.0)) == 1.5)
-    intercept[IllegalArgumentException](FlopsModel.imbalance(Nil))
-  }
-
   test("Fig. 3 reproduction: vanilla microbatch FLOPs gap exceeds 2x") {
     // The paper measures 3.2x (images) / 6.9x (sequences) max/min
     // microbatch FLOPs under no scheduling; our skewed generators must

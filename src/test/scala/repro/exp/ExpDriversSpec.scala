@@ -25,13 +25,6 @@ class ExpDriversSpec extends AnyFunSuite {
     assert(b.map(_.source).distinct.size >= 3)
   }
 
-  test("Workload.takeTokens stops at the token target") {
-    val pool = Workload.pool(SourceCatalog.coyo700m, 200, 1)
-    val got  = Workload.takeTokens(pool, 50000)
-    assert(got.map(_.seqLen).sum >= 50000)
-    assert(got.dropRight(1).map(_.seqLen).sum < 50000)
-  }
-
   test("E3 ratio shows overhead at low parallelism, savings at high") {
     assert(E3Redundancy.ratio(1, 1) > 1.0)
     assert(E3Redundancy.ratio(4, 4) < 0.5)

@@ -40,6 +40,16 @@ class DataConstructorSpec extends SparkSpec {
              s"tokens mismatch at ($b,$m,${seq.seqId})")
   }
 
+  test("seg_lens follow pack order when the buffer is not in id order") {
+    val p = Planner.backboneBalance(new scala.util.Random(5).shuffle(buffer), tree, ctx, nBins,
+                                    ModelConfigs.Llama12B)
+    val got = DataConstructor.collate(spark, outs, Planner.planRows(p), ctx)
+      .select("seqId", "seg_lens").collect().map(r => r.getLong(0) -> r.getSeq[Long](1)).toMap
+    val seqs = p.allSeqs
+    assert(seqs.exists(s => s.segments.map(_.id) != s.segments.map(_.id).sorted))
+    seqs.foreach(s => assert(got(s.seqId) == s.segmentLens, s"seq ${s.seqId}"))
+  }
+
   test("padding completes every sequence to the context length") {
     val bad = collated.filter(col("padding") =!= lit(ctx) - col("tokens"))
     assert(bad.count() == 0)

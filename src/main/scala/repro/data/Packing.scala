@@ -2,6 +2,8 @@ package repro.data
 
 import repro.core.SampleMeta
 
+import scala.collection.mutable
+
 /** A packed training sequence: several subsequences (samples) merged into
   * one fixed-context sequence with a segmented attention mask
   * (Sec. 2.1 "Microbatch Transformation" — packing).
@@ -25,10 +27,21 @@ object Packing {
     * open sequence with room, else opens a new one. Samples longer than
     * `ctx` are truncated to `ctx` (production truncates/chunks upstream;
     * this keeps every segment feasible).
+    *
+    * O(n log n) over a max segment tree of remaining capacity. Leaves are
+    * sequence slots, padded to a power of two >= `samples.size`, and each
+    * starts at `ctx`. Open sequences are always a prefix of the slots, and
+    * an unopened slot holds a full `ctx`, so the leftmost leaf with room
+    * for a sample is the first open sequence that fits it, or else the
+    * next new sequence: the first-fit rule, zero-length samples included.
     */
   def firstFit(samples: Seq[SampleMeta], ctx: Long): Vector[PackedSeq] = {
     require(ctx > 0, "context length must be positive")
-    val open = scala.collection.mutable.ArrayBuffer.empty[(Long, scala.collection.mutable.ArrayBuffer[SampleMeta])]
+    var leaves = 1
+    while (leaves < samples.size) leaves <<= 1
+    // room(1) is the root; room(leaves + i) is slot i's remaining capacity.
+    val room = Array.fill(2 * leaves)(ctx)
+    val open = mutable.ArrayBuffer.empty[mutable.Builder[SampleMeta, Vector[SampleMeta]]]
     samples.foreach { s0 =>
       val s =
         if (s0.seqLen <= ctx) s0
@@ -37,15 +50,19 @@ object Packing {
           val img  = math.min(s0.imgPatches, ctx)
           s0.copy(textLen = math.min(text, ctx - math.min(img, ctx)), imgPatches = math.min(img, ctx))
         }
-      open.find { case (used, _) => used + s.seqLen <= ctx } match {
-        case Some(slot @ (used, buf)) =>
-          buf += s
-          open.update(open.indexOf(slot), (used + s.seqLen, buf))
-        case None =>
-          open += ((s.seqLen, scala.collection.mutable.ArrayBuffer(s)))
+      var node = 1
+      while (node < leaves) node = if (room(2 * node) >= s.seqLen) 2 * node else 2 * node + 1
+      val slot = node - leaves
+      if (slot == open.size) open += Vector.newBuilder[SampleMeta]
+      open(slot) += s
+      room(node) -= s.seqLen
+      node >>= 1
+      while (node >= 1) {
+        room(node) = math.max(room(2 * node), room(2 * node + 1))
+        node >>= 1
       }
     }
-    open.zipWithIndex.map { case ((_, buf), i) => PackedSeq(i.toLong, buf.toVector) }.toVector
+    open.zipWithIndex.map { case (buf, i) => PackedSeq(i.toLong, buf.result()) }.toVector
   }
 
   /** Packing efficiency: fraction of context slots holding real tokens. */

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropHelper.check
 import repro.core.SampleMeta
+import repro.exp.Workload
 
 class PackingSpec extends AnyFunSuite {
   def s(id: Long, text: Long, img: Long = 0): SampleMeta = SampleMeta(id, "src", text, img)
@@ -84,6 +85,41 @@ class PackingSpec extends AnyFunSuite {
       val seqs = Packing.firstFit(in, 512)
       val lb   = math.ceil(lens.sum.toDouble / 512).toInt // volume lower bound
       seqs.size <= 2 * math.max(1, lb)
+    })
+  }
+
+  // ---- equality with the linear-scan reference ------------------------
+
+  val ctx = 32768L
+  def navitBuffer(dp: Int, seed: Long): Vector[SampleMeta] =
+    Workload.stepBuffer(SourceCatalog.navitData, dp, 8, ctx, step = 0, seed = seed)
+
+  test("matches the linear-scan packer on navit_data buffers at world 2048") {
+    Seq(1009L, 2018L).foreach { seed =>
+      val buf = navitBuffer(1024, seed)
+      assert(Packing.firstFit(buf, ctx) == FirstFitReference.firstFit(buf, ctx), s"seed=$seed")
+    }
+  }
+
+  test("matches the linear-scan packer on a navit_data buffer at world 4096") {
+    val buf = navitBuffer(2048, 1009L)
+    assert(Packing.firstFit(buf, ctx) == FirstFitReference.firstFit(buf, ctx))
+  }
+
+  test("matches the linear-scan packer on a shuffled navit_data buffer") {
+    val buf = new scala.util.Random(5).shuffle(navitBuffer(1024, 2018L))
+    assert(Packing.firstFit(buf, ctx) == FirstFitReference.firstFit(buf, ctx))
+  }
+
+  test("property: matches the linear-scan packer with zero-length and over-long samples") {
+    val c = 512L
+    val sample = for {
+      len <- Gen.frequency(1 -> Gen.const(0L), 1 -> Gen.const(c), 8 -> Gen.choose(0L, 2 * c))
+      img <- Gen.choose(0L, len)
+    } yield (len - img, img)
+    check(Prop.forAll(Gen.listOf(sample)) { parts =>
+      val in = parts.zipWithIndex.map { case ((text, img), i) => s(i, text, img) }.toVector
+      Packing.firstFit(in, c) == FirstFitReference.firstFit(in, c)
     })
   }
 }

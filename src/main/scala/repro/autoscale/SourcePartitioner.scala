@@ -70,14 +70,4 @@ object SourcePartitioner {
       LoaderConfig(s.name, ci, actors, wpa, coresPerWorker)
     }
   }
-
-  /** Total cores a partitioning consumes (sanity/bench metric). */
-  def coresUsed(cfgs: Seq[LoaderConfig]): Double =
-    cfgs.map(c => c.totalWorkers * c.coresPerWorker).sum
-
-  /** Total loader-tier memory a partitioning implies. */
-  def memUsed(cfgs: Seq[LoaderConfig], group: DatasetGroup, p: Params = Params()): Double = {
-    val state = group.sources.map(s => s.name -> s.fileStateBytes).toMap
-    cfgs.map(c => c.actors * (state(c.source) + c.workersPerActor * p.bufBytesPerWorker)).sum
-  }
 }

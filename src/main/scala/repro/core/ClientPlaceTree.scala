@@ -70,20 +70,4 @@ final case class ClientPlaceTree(pp: Int, dp: Int, cp: Int, tp: Int) {
     * (Sec. 2.1): true when this client's tensors can be stripped.
     */
   def metadataOnly(c: ClientRef): Boolean = c.pp > 0
-
-  /** Rendered tree, one node per line — the "interpretable" view. */
-  def render: String = {
-    val sb = new StringBuilder(s"mesh[pp=$pp dp=$dp cp=$cp tp=$tp]\n")
-    for (p <- 0 until pp) {
-      sb.append(s"  PP$p\n")
-      for (d <- 0 until dp) {
-        sb.append(s"    DP$d\n")
-        for (c <- 0 until cp) {
-          val ranks = clients.filter(x => x.pp == p && x.dp == d && x.cp == c).map(_.rank)
-          sb.append(s"      CP$c -> TP ranks ${ranks.mkString(",")}\n")
-        }
-      }
-    }
-    sb.result()
-  }
 }

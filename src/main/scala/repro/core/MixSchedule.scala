@@ -13,15 +13,6 @@ final case class StaticMix(w: Map[String, Double]) extends MixSchedule {
   def weights(step: Int): Map[String, Double] = w
 }
 
-/** Piecewise schedule: each stage holds until its end step (exclusive).
-  * Models warmup / staged training (Gemini/Llama-style).
-  */
-final case class StagedMix(stages: Seq[(Int, Map[String, Double])]) extends MixSchedule {
-  require(stages.nonEmpty && stages.map(_._1) == stages.map(_._1).sorted, "stages must be ordered")
-  def weights(step: Int): Map[String, Double] =
-    stages.find(step < _._1).getOrElse(stages.last)._2
-}
-
 /** Linear interpolation from `from` to `to` over `steps` steps — the
   * easy-to-hard progression of curriculum learning (Sec. 2.1).
   */
@@ -33,19 +24,6 @@ final case class LinearCurriculum(from: Map[String, Double], to: Map[String, Dou
     (from.keySet ++ to.keySet).map { s =>
       s -> ((1 - a) * from.getOrElse(s, 0.0) + a * to.getOrElse(s, 0.0))
     }.toMap
-  }
-}
-
-/** Dynamic mixing driven by a runtime metric (loss/entropy, Sec. 2.1):
-  * weight of a source grows exponentially with its metric (softmax with
-  * temperature), re-fed by the trainer each interval.
-  */
-final class AdaptiveMix(initial: Map[String, Double], temperature: Double = 1.0) extends MixSchedule {
-  @volatile private var current: Map[String, Double] = initial
-  def weights(step: Int): Map[String, Double] = current
-  def feedback(metric: Map[String, Double]): Unit = {
-    val z = metric.values.map(v => math.exp(v / temperature)).sum
-    current = metric.map { case (s, v) => s -> math.exp(v / temperature) / z }
   }
 }
 

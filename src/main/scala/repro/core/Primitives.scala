@@ -4,7 +4,7 @@ package repro.core
   * model. A strategy is written as a chain
   *
   * {{{
-  * Orchestration(tree, items, sampleIds)
+  * Orchestration(tree, items)
   *   .distribute("DP")
   *   .cost(fn)
   *   .broadcastAt("TP")
@@ -13,20 +13,18 @@ package repro.core
   * }}}
   *
   * `T` is whatever the strategy schedules — `SampleMeta` or `PackedSeq` —
-  * mirroring the paper's per-modality DGraphs built from the same shared
+  * so one builder serves every modality drawn from the same shared
   * buffer. `plan()` returns the [bucket][bin] grid `StepPlan` holds, and
   * `consumers` says which clients fetch each bucket.
   */
 final case class Orchestration[T](
     tree: ClientPlaceTree,
     items: Vector[T],
-    sampleIds: T => Seq[Long],
     axis: String = "DP",
     groupSize: Int = 1,
     costFn: T => Double = (_: T) => 1.0,
     method: String = "sequential",
     nBins: Int = 1,
-    intraBinReorder: Boolean = true,
     broadcastDims: Set[String] = Set.empty,
 ) {
 
@@ -44,12 +42,12 @@ final case class Orchestration[T](
   def cost(fn: T => Double): Orchestration[T] = copy(costFn = fn)
 
   /** balance(method, *): choose the balancing method and microbatch bin
-    * count; `intraBinReorder = false` keeps arrival order inside each
-    * bucket (the paper's option to keep the global batch unchanged).
+    * count; `"sequential"` keeps arrival order inside each bucket (the
+    * paper's option to keep the global batch unchanged).
     */
-  def balance(method: String, nBins: Int = 1, intraBinReorder: Boolean = true): Orchestration[T] = {
+  def balance(method: String, nBins: Int = 1): Orchestration[T] = {
     require(nBins >= 1)
-    copy(method = method, nBins = nBins, intraBinReorder = intraBinReorder)
+    copy(method = method, nBins = nBins)
   }
 
   /** broadcast_at(dim): the trainer broadcasts along `dim`, so only
@@ -64,7 +62,7 @@ final case class Orchestration[T](
     * ceil(n/g) superbuckets, then balanced again within each superbucket
     * over its member buckets. Bin level: items of each bucket are split
     * into `nBins` microbatch bins (inter-microbatch balancing), with the
-    * same method, or dealt in order when `intraBinReorder` is off.
+    * same method.
     */
   def plan(): Vector[Vector[Vector[T]]] = {
     val n      = tree.bucketCount(axis)
@@ -77,10 +75,7 @@ final case class Orchestration[T](
     }
     val perBucket = buckets.result()
     require(perBucket.size == n, s"bucket construction bug: ${perBucket.size} != $n")
-    perBucket.map { bucketItems =>
-      if (intraBinReorder) Balancer.byName(method, bucketItems, nBins, costFn)
-      else Balancer.sequential(bucketItems, nBins)
-    }
+    perBucket.map(Balancer.byName(method, _, nBins, costFn))
   }
 
   /** Per bucket, the clients that fetch payloads after `broadcast_at`
@@ -88,26 +83,10 @@ final case class Orchestration[T](
     */
   def consumers: Vector[Vector[ClientRef]] =
     tree.bucketClients(axis).map(tree.broadcastFilter(_, broadcastDims))
-
-  /** Records the plan into a DGraph: sampled items transition to
-    * Assigned(bucket, bin), giving the lineage view of Sec. 4.1.
-    */
-  def planInto(g: DGraph): (Vector[Vector[Vector[T]]], DGraph) = {
-    val p = plan()
-    val assigned = for {
-      (bucket, b) <- p.zipWithIndex; (bin, m) <- bucket.zipWithIndex; t <- bin; id <- sampleIds(t)
-      if g.ids.contains(id)
-    } yield id -> SampleState.Assigned(b, m)
-    (p, assigned.foldLeft(g) { case (acc, (id, st)) => acc.transition(id, st, Some(s"balance:$method")) })
-  }
 }
 
 object Orchestration {
-  /** Entry point over raw sample metadata. */
-  def samples(tree: ClientPlaceTree, items: Seq[SampleMeta]): Orchestration[SampleMeta] =
-    Orchestration[SampleMeta](tree, items.toVector, m => Seq(m.id))
-
   /** Entry point over packed sequences (backbone scheduling). */
   def packed(tree: ClientPlaceTree, items: Seq[repro.data.PackedSeq]): Orchestration[repro.data.PackedSeq] =
-    Orchestration[repro.data.PackedSeq](tree, items.toVector, _.segments.map(_.id))
+    Orchestration[repro.data.PackedSeq](tree, items.toVector)
 }

@@ -1,9 +1,9 @@
 package repro.core
 
 /** Lightweight metadata describing one training sample in a Source Loader
-  * read buffer. This is the currency of the Planner: plans, DGraph nodes
-  * and balance decisions are all computed over `SampleMeta`, never over
-  * payloads (Sec. 4.1 "DGraph operates on lightweight metadata").
+  * read buffer. This is the currency of the Planner: mixing, packing and
+  * balance decisions are all computed over `SampleMeta`, never over
+  * payloads (Sec. 4.1: the data plane operates on lightweight metadata).
   *
   * @param id         globally unique sample id
   * @param source     producing source name
@@ -13,6 +13,4 @@ package repro.core
 final case class SampleMeta(id: Long, source: String, textLen: Long, imgPatches: Long) {
   /** Tokens the LLM backbone consumes: text interleaved with patch tokens. */
   def seqLen: Long = textLen + imgPatches
-  /** Approximate wire size of the raw sample payload. */
-  def payloadBytes: Long = textLen * 4L + imgPatches * 768L
 }

@@ -55,7 +55,7 @@ object E2Orchestration {
 
   def table(cells: Seq[Cell]): String = {
     val rows = cells.map { c =>
-      Seq(c.dataset, c.backbone, c.encoder, (c.ctx / 1024) + "k",
+      Seq(c.dataset, c.backbone, c.encoder, s"${c.ctx / 1024}k",
           Tables.sci(c.vanillaTps), Tables.sci(c.backboneTps), Tables.sci(c.hybridTps),
           Tables.f2(c.backboneSpeedup) + "x", Tables.f2(c.hybridSpeedup) + "x")
     }

@@ -6,8 +6,8 @@ import repro.core.{ClientPlaceTree, PlanRow}
 
 /** The Data Constructor (Sec. 3): aggregates Source Loader outputs per DP
   * bucket and applies the microbatch transformations (packing/padding) and
-  * parallelism transformations (CP sequence slicing, PP metadata
-  * stripping, broadcast thinning).
+  * parallelism transformations (PP metadata stripping, broadcast
+  * thinning).
   *
   * Dataflow: plan rows join the unioned loader outputs on sample id, the
   * result is shuffled by (bucket, bin, seqId) — one shuffle, replacing the
@@ -49,23 +49,6 @@ object DataConstructor {
         sum("pbytes")                                   as "payload_bytes",
       )
       .withColumn("padding", lit(ctx) - col("tokens"))
-  }
-
-  /** CP parallelism transformation: each packed sequence is sliced into
-    * `cp` contiguous context chunks; CP rank r consumes chunk r. Token
-    * counts per chunk follow the padded context (ctx/cp each), with real
-    * (non-pad) tokens attributed to the chunks they fall in.
-    */
-  def cpSlice(collated: DataFrame, ctx: Long, cp: Int): DataFrame = {
-    require(cp >= 1 && ctx % cp == 0, s"ctx=$ctx must divide cp=$cp")
-    val chunk = ctx / cp
-    collated
-      .withColumn("cp_rank", explode(sequence(lit(0), lit(cp - 1))))
-      .withColumn("chunk_start", col("cp_rank") * chunk)
-      .withColumn(
-        "chunk_tokens",
-        greatest(lit(0L), least(lit(chunk), col("tokens") - col("chunk_start"))))
-      .drop("chunk_start")
   }
 
   /** Delivery view: one row per (sequence row x consuming client), after

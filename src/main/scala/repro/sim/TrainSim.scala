@@ -31,6 +31,9 @@ object TrainSim {
     val nBins = plan.nBins
     val shard = (tree.tp * tree.cp * tree.pp).toDouble
 
+    // Backbone FLOPs per (DP bucket, bin), shared by the bucket's replicas.
+    val bucketF = plan.backboneCells.map(_.map(_.map(s => FlopsModel.packedSequence(bb, s.segmentLens)).sum))
+
     // Per (gpu, bin) busy seconds.
     val busy = Array.ofDim[Double](tree.world, nBins)
     val binFlops = Array.ofDim[Double](tree.world, nBins)
@@ -38,7 +41,7 @@ object TrainSim {
       var m = 0
       while (m < nBins) {
         val encF = FlopsModel.images(enc, plan.encoderCells(c.rank)(m).map(_.patches))
-        val bbF  = plan.backboneCells(c.dp)(m).map(s => FlopsModel.packedSequence(bb, s.segmentLens)).sum / shard
+        val bbF  = bucketF(c.dp)(m) / shard
         busy(c.rank)(m) = (encF + bbF) / flopsPerSec
         binFlops(c.rank)(m) = encF + bbF * shard
         m += 1

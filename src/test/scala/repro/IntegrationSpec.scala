@@ -9,9 +9,9 @@ import repro.sim.TrainSim
 
 /** End-to-end integration of the whole OVERLORD workflow (Sec. 3 Fig. 7):
   * Source Loaders buffer metadata -> Planner mixes per a curriculum
-  * schedule -> DGraph tracks lineage -> balance produces the plan grid ->
-  * Data Constructors collate on Spark -> delivery respects hybrid
-  * parallelism -> the training-step simulator consumes the plan.
+  * schedule -> balance produces the plan grid -> Data Constructors
+  * collate on Spark -> delivery respects hybrid parallelism -> the
+  * training-step simulator consumes the plan.
   */
 class IntegrationSpec extends SparkSpec {
   val tree  = ClientPlaceTree(pp = 1, dp = 2, cp = 2, tp = 2)
@@ -51,28 +51,6 @@ class IntegrationSpec extends SparkSpec {
     val hot = SparkTestData.group.sources.head.name
     assert(late.forall(_.source == hot))
     assert(early.map(_.source).distinct.size == SparkTestData.group.sources.size)
-  }
-
-  test("DGraph tracks the full lifecycle through the planning pipeline") {
-    val (sampled, _) = MixSampler.draw(buffer, schedule, 0, 40)
-    var g = DGraph.fromBuffer(buffer)
-    g = g.transitionAll(sampled.map(_.id), _ => SampleState.Sampled, Some("mix"))
-
-    val orch = Orchestration.samples(tree, sampled)
-      .distribute("DP").cost(CostFns.seqLen)
-      .balance("greedybinpack", nBins).broadcastAt("TP")
-    val (_, g2) = orch.planInto(g)
-
-    sampled.foreach { m =>
-      assert(g2.history(m.id).take(2) == Vector("buffered", "sampled"))
-      assert(g2.stateOf(m.id).isInstanceOf[SampleState.Assigned])
-    }
-    // Unsampled buffer entries stay Buffered — no redundant access.
-    buffer.filterNot(sampled.contains).foreach { m =>
-      assert(g2.stateOf(m.id) == SampleState.Buffered)
-    }
-    assert(g2.isAcyclic)
-    assert(orch.consumers.flatten.forall(_.tp == 0))
   }
 
   test("oracle: constructed microbatch sizes match a pure-SQL computation") {

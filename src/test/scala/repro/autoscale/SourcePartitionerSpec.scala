@@ -82,10 +82,4 @@ class SourcePartitionerSpec extends AnyFunSuite {
     val solo = SourcePartitioner.partition(group, pool, params.copy(clusterSize = 1))
     assert(solo.map(_.cluster).distinct.size == group.sources.size)
   }
-
-  test("coresUsed and memUsed aggregate sanely") {
-    assert(SourcePartitioner.coresUsed(cfgs) > 0)
-    assert(SourcePartitioner.memUsed(cfgs, group, params) >
-           group.fileStates.sum) // at least one copy of every state
-  }
 }

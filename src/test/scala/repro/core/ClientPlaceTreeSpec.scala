@@ -82,10 +82,4 @@ class ClientPlaceTreeSpec extends AnyFunSuite {
   test("degrees must be positive") {
     intercept[IllegalArgumentException](ClientPlaceTree(0, 1, 1, 1))
   }
-
-  test("render shows every level of the hierarchy") {
-    val r = t.render
-    assert(r.contains("PP1") && r.contains("DP1") && r.contains("CP1"))
-    assert(r.contains("mesh[pp=2 dp=2 cp=2 tp=2]"))
-  }
 }

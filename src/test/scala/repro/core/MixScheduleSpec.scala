@@ -9,18 +9,6 @@ class MixScheduleSpec extends AnyFunSuite {
     assert(m.weights(0) == m.weights(1000))
   }
 
-  test("StagedMix switches at stage boundaries") {
-    val m = StagedMix(Seq((10, Map("a" -> 1.0)), (20, Map("b" -> 1.0))))
-    assert(m.weights(0) == Map("a" -> 1.0))
-    assert(m.weights(9) == Map("a" -> 1.0))
-    assert(m.weights(10) == Map("b" -> 1.0))
-    assert(m.weights(999) == Map("b" -> 1.0)) // holds last stage
-  }
-
-  test("StagedMix rejects unordered stages") {
-    intercept[IllegalArgumentException](StagedMix(Seq((20, Map.empty[String, Double]), (10, Map.empty[String, Double]))))
-  }
-
   test("LinearCurriculum interpolates from easy to hard") {
     val m = LinearCurriculum(Map("easy" -> 1.0), Map("hard" -> 1.0), steps = 100)
     assert(m.weights(0) == Map("easy" -> 1.0, "hard" -> 0.0))
@@ -32,14 +20,6 @@ class MixScheduleSpec extends AnyFunSuite {
   test("LinearCurriculum clamps beyond its range") {
     val m = LinearCurriculum(Map("a" -> 1.0), Map("b" -> 1.0), steps = 10)
     assert(m.weights(10000) == m.weights(10))
-  }
-
-  test("AdaptiveMix reweights by softmax of the fed metric") {
-    val m = new AdaptiveMix(Map("a" -> 0.5, "b" -> 0.5))
-    m.feedback(Map("a" -> 2.0, "b" -> 0.0))
-    val w = m.weights(0)
-    assert(w("a") > w("b"))
-    assert(math.abs(w.values.sum - 1.0) < 1e-9)
   }
 
   test("counts sum exactly to the batch size") {

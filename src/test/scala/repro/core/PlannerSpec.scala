@@ -1,6 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import repro.PropHelper.check
 import repro.costmodel.ModelConfigs
 import repro.data.SourceCatalog
 import repro.exp.Workload
@@ -104,6 +107,54 @@ class PlannerSpec extends AnyFunSuite {
     assert(rows.forall(r => r.bucket < tree.dp && r.bin < nBins))
     val bySeq = rows.groupBy(r => (r.bucket, r.bin, r.seqId))
     assert(bySeq.values.forall(_.map(_.sampleId).distinct.size > 0))
+  }
+
+  test("property: every strategy plans each sample exactly once on any mesh") {
+    val c = 4096L
+    val sample = for {
+      len <- Gen.frequency(1 -> Gen.const(0L), 1 -> Gen.choose(c + 1, 2 * c), 8 -> Gen.choose(1L, c))
+      img <- Gen.frequency(1 -> Gen.const(0L), 1 -> Gen.choose(0L, len))
+    } yield (len - img, img)
+    val setup = for {
+      pp <- Gen.choose(1, 2); dp <- Gen.choose(1, 8); cp <- Gen.choose(1, 2); tp <- Gen.choose(1, 2)
+      bins  <- Gen.choose(1, 4)
+      n     <- Gen.choose(0, 200)
+      parts <- Gen.listOfN(n, sample)
+    } yield (ClientPlaceTree(pp, dp, cp, tp), bins, parts.zipWithIndex.map { case ((text, img), i) =>
+      SampleMeta(i.toLong, s"s${i % 3}", text, img)
+    }.toVector)
+    check(Prop.forAllNoShrink(setup) { case (t, bins, buf) =>
+      val ids      = buf.map(_.id).sorted
+      val imageIds = buf.filter(_.imgPatches > 0).map(_.id).sorted
+      // Over-long samples are truncated to the context, so each counts as ctx.
+      val tokens   = buf.map(s => math.min(s.seqLen, c)).sum
+      Prop.all(Seq(
+        "vanilla"  -> Planner.vanilla(buf, t, c, bins),
+        "backbone" -> Planner.backboneBalance(buf, t, c, bins, bb),
+        "hybrid"   -> Planner.hybridBalance(buf, t, c, bins, bb, enc),
+      ).flatMap { case (name, p) =>
+        val seqAt = (for {
+          (bucket, b) <- p.backboneCells.zipWithIndex
+          (bin, m)    <- bucket.zipWithIndex
+          seq         <- bin
+        } yield (b, m, seq.seqId) -> seq).toMap
+        val seqBin = for (((_, m, _), seq) <- seqAt; s <- seq.segments) yield s.id -> m
+        val rows   = Planner.planRows(p)
+        Seq(
+          "grid shape" -> (p.backboneCells.size == t.dp && p.backboneCells.forall(_.size == bins) &&
+                           p.encoderCells.size == t.world && p.encoderCells.forall(_.size == bins)),
+          "backbone ids once" -> (allSampleIds(p) == ids),
+          "plan rows point at their segment" -> (seqAt.size == p.allSeqs.size &&
+            rows.map(_.sampleId).sorted == ids &&
+            rows.forall(r => seqAt.get((r.bucket, r.bin, r.seqId))
+              .flatMap(_.segments.lift(r.pos)).exists(_.id == r.sampleId))),
+          "images once" -> (p.allImages.map(_.sampleId).sorted == imageIds),
+          "images in their sequence's bin" -> (0 until t.world).forall(r =>
+            (0 until bins).forall(m => p.encoderCells(r)(m).forall(img => seqBin(img.sampleId) == m))),
+          "tokens conserved" -> (p.totalTokens == tokens),
+        ).map { case (label, ok) => ok :| s"$name: $label" }
+      }: _*)
+    })
   }
 
   test("imagesOf extracts only image-bearing samples") {

@@ -10,8 +10,7 @@ class PrimitivesSpec extends AnyFunSuite {
     Vector.tabulate(n)(i => SampleMeta(i, s"s${i % 3}", 10 + rnd.nextInt(500), rnd.nextInt(300)))
   }
 
-  def orch(items: Vector[SampleMeta]): Orchestration[SampleMeta] =
-    Orchestration.samples(tree, items)
+  def orch(items: Vector[SampleMeta]): Orchestration[SampleMeta] = Orchestration(tree, items)
 
   test("distribute validates the axis eagerly") {
     intercept[RuntimeException](orch(metas(4)).distribute("BOGUS"))
@@ -56,26 +55,13 @@ class PrimitivesSpec extends AnyFunSuite {
     assert(thin.consumers.flatten.forall(_.tp == 0))
   }
 
-  test("intraBinReorder=false keeps arrival order inside buckets") {
+  test("sequential balance keeps arrival order inside buckets") {
     val items = metas(24)
     val p = orch(items).distribute("DP").cost(CostFns.seqLen)
-      .balance("sequential", 3, intraBinReorder = false).plan()
+      .balance("sequential", 3).plan()
     p.foreach { bucket =>
       val inBucket = bucket.flatten.map(_.id)
       assert(inBucket == inBucket.sorted) // sequential deal preserves ids
-    }
-  }
-
-  test("planInto transitions sampled items to Assigned in the DGraph") {
-    val items = metas(12)
-    val g = DGraph.fromBuffer(items)
-    val (p, g2) = orch(items).distribute("DP").cost(CostFns.seqLen)
-      .balance("greedybinpack", 2).planInto(g)
-    val cell = (for ((bucket, b) <- p.zipWithIndex; (bin, m) <- bucket.zipWithIndex; t <- bin)
-      yield t.id -> (b, m)).toMap
-    items.foreach { m =>
-      val (b, bin) = cell(m.id)
-      assert(g2.stateOf(m.id) == SampleState.Assigned(b, bin))
     }
   }
 
@@ -84,6 +70,6 @@ class PrimitivesSpec extends AnyFunSuite {
     val orch = Orchestration.packed(tree, seqs).distribute("DP")
       .cost(CostFns.backbone(repro.costmodel.ModelConfigs.Llama12B))
       .balance("greedybinpack", 2)
-    assert(orch.plan().flatten.flatten.flatMap(orch.sampleIds).sorted == (0L until 20L).toVector)
+    assert(orch.plan().flatten.flatten.flatMap(_.segments.map(_.id)).sorted == (0L until 20L).toVector)
   }
 }

@@ -74,24 +74,6 @@ class DataConstructorSpec extends SparkSpec {
       "plan" -> planDf, "data" -> data)
   }
 
-  test("cpSlice fans every sequence out to cp contiguous chunks") {
-    val sliced = DataConstructor.cpSlice(collated, ctx, cp = 2)
-    assert(sliced.count() == collated.count() * 2)
-    val sums = sliced.groupBy("bucket", "bin", "seqId").agg(sum("chunk_tokens") as "t")
-      .join(collated.select(col("bucket") as "b2", col("bin") as "m2", col("seqId") as "s2", col("tokens")),
-            col("bucket") === col("b2") && col("bin") === col("m2") && col("seqId") === col("s2"))
-    assert(sums.filter(col("t") =!= col("tokens")).count() == 0)
-  }
-
-  test("cpSlice chunks never exceed ctx/cp real tokens") {
-    val sliced = DataConstructor.cpSlice(collated, ctx, cp = 4)
-    assert(sliced.filter(col("chunk_tokens") > ctx / 4).count() == 0)
-  }
-
-  test("cpSlice validates divisibility") {
-    intercept[IllegalArgumentException](DataConstructor.cpSlice(collated, ctx, cp = 3))
-  }
-
   test("deliver fans sequences out to each bucket's clients") {
     val d = DataConstructor.deliver(spark, collated, tree, broadcastDims = Set.empty)
     // Every sequence reaches all pp*cp*tp clients of its DP bucket.

@@ -13,4 +13,6 @@ package repro.core
 final case class SampleMeta(id: Long, source: String, textLen: Long, imgPatches: Long) {
   /** Tokens the LLM backbone consumes: text interleaved with patch tokens. */
   def seqLen: Long = textLen + imgPatches
+  /** Approximate wire size of the raw sample payload. */
+  def payloadBytes: Long = textLen * 4L + imgPatches * 768L
 }

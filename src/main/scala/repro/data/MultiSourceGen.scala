@@ -2,21 +2,17 @@ package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
 import repro.core.SampleMeta
 import scala.util.Random
 
-/** Generators for multisource multimodal sample metadata.
+/** The one generator of multisource multimodal sample metadata.
   *
-  * Two parallel implementations exist on purpose:
-  *
-  *  - Spark generators (`sourceDf`, `writeGroupParquet`) produce the actual
-  *    per-source Parquet datasets the loader pipelines scan; columns are
-  *    derived from `rand(seed)`/`randn(seed)` so they are deterministic in
-  *    (source, seed) and reproducible across runs.
-  *  - Driver-side generators (`sampleMetas`) draw from the *same
-  *    distributions* with `scala.util.Random` for the planner/simulator
-  *    paths that never touch Spark (e.g. 4096-GPU sweeps).
+  * `sampleMetas` draws each source's samples with `scala.util.Random`,
+  * deterministically in (source, seed). The planner and simulator sweeps
+  * use the draw directly (e.g. 4096-GPU sweeps that never touch Spark),
+  * and `writeGroupParquet` writes the same draw as the per-source Parquet
+  * datasets the loader pipelines scan, so both paths plan over identical
+  * samples.
   *
   * Sample schema: (id BIGINT, source STRING, text_len BIGINT,
   * img_patches BIGINT, payload STRING). `payload` is filler bytes sized
@@ -30,27 +26,6 @@ object MultiSourceGen {
   /** Ids are namespaced per source so a group-wide union stays unique. */
   def idBase(spec: SourceSpec): Long = spec.id.toLong << 40
 
-  /** Spark DataFrame of `n` samples of one source (metadata only). */
-  def sourceDf(spark: SparkSession, spec: SourceSpec, n: Long, seed: Long = 7): DataFrame = {
-    val s = seed + spec.id * 131L
-    val body = (rand(s + 1) * (spec.textBodyMax - 3) + 4).cast(LongType)
-    // Inverse-CDF Pareto: xm * (1-u)^(-1/alpha), capped at MaxLen.
-    val tail = least(
-      lit(MaxLen),
-      (lit(spec.textTailXm.toDouble) *
-        pow(lit(1.0) - rand(s + 2), lit(-1.0 / spec.textTailAlpha))).cast(LongType))
-    val patches = least(
-      lit(MaxLen),
-      greatest(lit(1L),
-        exp(randn(s + 3) * spec.patchLogSigma + spec.patchLogMean).cast(LongType)))
-    spark.range(n).select(
-      (col("id") + idBase(spec))                                as "id",
-      lit(spec.name)                                            as "source",
-      when(rand(s) < spec.textTailProb, tail).otherwise(body)   as "text_len",
-      patches                                                   as "img_patches",
-    )
-  }
-
   /** Adds a filler payload column sized like the raw sample bytes
     * (4 B/text token + 768 B/patch, capped to keep local runs bounded).
     */
@@ -60,15 +35,19 @@ object MultiSourceGen {
       repeat(lit("x"),
              least(lit(capBytes), (col("text_len") * 4 + col("img_patches") * 768).cast("int"))))
 
-  /** Writes one Parquet dataset per source under `dir`/`source-name`.
-    * `sf` scales sample counts: SF 0.01 ~ a few hundred samples/source.
+  /** Writes one Parquet dataset per source under `dir`/`source-name`, its
+    * rows `sampleMetas(spec, n, seed)`. `sf` scales sample counts: SF 0.01
+    * ~ a few hundred samples/source. The payload is added after the
+    * repartition so that executors build it: added to the local rows,
+    * Catalyst folds it into a driver-side `LocalRelation` that every task
+    * then carries.
     */
   def writeGroupParquet(spark: SparkSession, group: DatasetGroup, dir: String,
                         sf: Double, baseRowsPerSource: Long = 20000L, seed: Long = 7): Unit =
     group.sources.foreach { spec =>
       val n = math.max(8L, (baseRowsPerSource * sf * spec.relSize).toLong)
-      withPayload(sourceDf(spark, spec, n, seed))
-        .repartition(1)
+      val rows = sampleMetas(spec, n.toInt, seed).map(m => (m.id, m.source, m.textLen, m.imgPatches))
+      withPayload(spark.createDataFrame(rows).toDF("id", "source", "text_len", "img_patches").repartition(1))
         .write.mode("overwrite")
         .parquet(s"$dir/${spec.name}")
     }
@@ -76,11 +55,10 @@ object MultiSourceGen {
   def readSource(spark: SparkSession, dir: String, spec: SourceSpec): DataFrame =
     spark.read.parquet(s"$dir/${spec.name}")
 
-  // ------------------------------------------------------------------
-  // Driver-side generation (no Spark) for planner/simulator sweeps.
-  // ------------------------------------------------------------------
-
-  /** Draws `n` sample metadata rows from `spec`'s distributions. */
+  /** Draws `n` sample metadata rows from `spec`'s distributions: a uniform
+    * text body with a Pareto tail (inverse CDF, capped at `MaxLen`) and
+    * log-normal patch counts in [1, `MaxLen`].
+    */
   def sampleMetas(spec: SourceSpec, n: Int, seed: Long = 7): Vector[SampleMeta] = {
     val rnd = new Random(seed + spec.id * 131L)
     Vector.tabulate(n) { i =>

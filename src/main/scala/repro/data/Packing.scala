@@ -46,9 +46,8 @@ object Packing {
       val s =
         if (s0.seqLen <= ctx) s0
         else {
-          val text = math.min(s0.textLen, math.max(0L, ctx - s0.imgPatches))
-          val img  = math.min(s0.imgPatches, ctx)
-          s0.copy(textLen = math.min(text, ctx - math.min(img, ctx)), imgPatches = math.min(img, ctx))
+          val img = math.min(s0.imgPatches, ctx)
+          s0.copy(textLen = math.min(s0.textLen, ctx - img), imgPatches = img)
         }
       var node = 1
       while (node < leaves) node = if (room(2 * node) >= s.seqLen) 2 * node else 2 * node + 1

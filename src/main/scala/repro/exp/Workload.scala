@@ -11,8 +11,9 @@ import scala.util.Random
   */
 object Workload {
 
-  /** Samples per source cached per (group, seed); interleaved by a
-    * seeded shuffle so arrival order mixes sources like a real stream.
+  /** `perSource` samples of every source in `group`, drawn afresh for
+    * each call and interleaved by a seeded shuffle so arrival order mixes
+    * sources like a real stream.
     */
   def pool(group: DatasetGroup, perSource: Int, seed: Long): Vector[SampleMeta] = {
     val rnd = new Random(seed)

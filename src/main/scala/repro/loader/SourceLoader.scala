@@ -17,17 +17,11 @@ final case class SourceLoader(spec: SourceSpec, dir: String) {
   /** Raw scan of this loader's single source. */
   def scan(spark: SparkSession): DataFrame = MultiSourceGen.readSource(spark, dir, spec)
 
-  /** Sample transformation stage: tokenization/decoding surrogates that
-    * derive trainable-representation metadata (sequence length, decoded
-    * tensor bytes, estimated transform latency) from the raw columns.
+  /** Sample transformation stage: a tokenization surrogate that derives
+    * the trainable sequence length from the raw columns.
     */
   def transformed(spark: SparkSession): DataFrame =
-    scan(spark).select(
-      col("id"), col("source"), col("text_len"), col("img_patches"), col("payload"),
-      (col("text_len") + col("img_patches"))                  as "seq_len",
-      (col("text_len") * 4 + col("img_patches") * 768)        as "decoded_bytes",
-      (col("img_patches").cast("double") * spec.transformSec) as "transform_cost",
-    )
+    scan(spark).withColumn("seq_len", col("text_len") + col("img_patches"))
 
   /** Buffer metadata the Planner plans over (Sec. 3 workflow step 4):
     * sample indices, source signature, and sequence lengths — never

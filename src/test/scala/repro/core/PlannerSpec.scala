@@ -106,7 +106,7 @@ class PlannerSpec extends AnyFunSuite {
     assert(rows.map(_.sampleId).sorted == buf.map(_.id).sorted)
     assert(rows.forall(r => r.bucket < tree.dp && r.bin < nBins))
     val bySeq = rows.groupBy(r => (r.bucket, r.bin, r.seqId))
-    assert(bySeq.values.forall(_.map(_.sampleId).distinct.size > 0))
+    assert(bySeq.values.forall(rs => rs.map(_.pos).sorted == (0 until rs.size)))
   }
 
   test("property: every strategy plans each sample exactly once on any mesh") {

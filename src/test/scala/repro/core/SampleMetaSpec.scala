@@ -10,9 +10,6 @@ class SampleMetaSpec extends AnyFunSuite {
     val m = SampleMeta(2, "s", 128, 0)
     assert(m.seqLen == 128 && m.imgPatches == 0)
   }
-  test("payload bytes follow 4B per text token and 768B per patch") {
-    assert(SampleMeta(3, "s", 10, 2).payloadBytes == 40 + 1536)
-  }
   test("metadata is value-comparable (planner dedup relies on it)") {
     assert(SampleMeta(4, "s", 1, 1) == SampleMeta(4, "s", 1, 1))
     assert(SampleMeta(4, "s", 1, 1) != SampleMeta(5, "s", 1, 1))

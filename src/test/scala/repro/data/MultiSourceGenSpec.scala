@@ -15,7 +15,8 @@ class MultiSourceGenSpec extends SparkSpec {
     SparkTestData.group.sources.map(SourceLoader(_, SparkTestData.dir))
   }
 
-  test("sampleMetas and the written Parquet yield the requested row count and schema") {
+  // The Parquet written from sampleMetas is what sourceDf used to produce.
+  test("sourceDf yields the requested row count and schema") {
     assert(MultiSourceGen.sampleMetas(spec, 100).size == 100)
     loaders.foreach { l =>
       val df = l.scan(spark)

@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core.SampleMeta
 import scala.util.Random
 
@@ -14,9 +15,11 @@ import scala.util.Random
   * datasets the loader pipelines scan, so both paths plan over identical
   * samples.
   *
-  * Sample schema: (id BIGINT, source STRING, text_len BIGINT,
+  * Sample schema (`schema`): (id BIGINT, source STRING, text_len BIGINT,
   * img_patches BIGINT, payload STRING). `payload` is filler bytes sized
   * like the raw sample so fetch benches move realistic volumes.
+  * `readSource` declares this schema rather than inferring it, so opening
+  * a source runs no Spark job of its own.
   */
 object MultiSourceGen {
 
@@ -52,8 +55,16 @@ object MultiSourceGen {
         .parquet(s"$dir/${spec.name}")
     }
 
+  /** The columns `writeGroupParquet` writes, as Spark reads them back.
+    * Lazy, so that callers of `sampleMetas` alone load no Spark classes.
+    */
+  lazy val schema: StructType = StructType(Seq(
+    StructField("id", LongType), StructField("source", StringType), StructField("text_len", LongType),
+    StructField("img_patches", LongType), StructField("payload", StringType)))
+
+  /** One source's Parquet dataset, read with the declared `schema`. */
   def readSource(spark: SparkSession, dir: String, spec: SourceSpec): DataFrame =
-    spark.read.parquet(s"$dir/${spec.name}")
+    spark.read.schema(schema).parquet(s"$dir/${spec.name}")
 
   /** Draws `n` sample metadata rows from `spec`'s distributions: a uniform
     * text body with a Pareto tail (inverse CDF, capped at `MaxLen`) and

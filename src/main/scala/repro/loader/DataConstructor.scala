@@ -9,10 +9,11 @@ import repro.core.{ClientPlaceTree, PlanRow}
   * parallelism transformations (PP metadata stripping, broadcast
   * thinning).
   *
-  * Dataflow: plan rows join the unioned loader outputs on sample id, the
-  * result is shuffled by (bucket, bin, seqId) — one shuffle, replacing the
-  * N-rank redundant reads of the colocated design — and collated into
-  * packed sequences.
+  * Dataflow: the plan rows are broadcast to every loader task, which keeps
+  * only the planned samples of its source; those rows are shuffled by
+  * bucket — the one exchange between loaders and constructor, replacing
+  * the N-rank redundant reads of the colocated design — and collated into
+  * packed sequences per (bucket, bin, seqId).
   */
 object DataConstructor {
 
@@ -35,7 +36,7 @@ object DataConstructor {
       .map(_.select(col("id"), least(col("seq_len"), lit(ctx)) as "seq_len",
                     length(col("payload")) as "pbytes"))
       .reduce(_ unionByName _)
-    val joined = planDf(spark, rows).join(data, col("sampleId") === col("id"), "inner")
+    val joined = broadcast(planDf(spark, rows)).join(data, col("sampleId") === col("id"), "inner")
     joined
       .repartition(col("bucket"))
       .groupBy("bucket", "bin", "seqId")
@@ -53,7 +54,8 @@ object DataConstructor {
 
   /** Delivery view: one row per (sequence row x consuming client), after
     * `broadcast_at` thinning; PP>0 clients are marked metadata-only and
-    * carry no payload bytes (Sec. 3 design rationale).
+    * carry no payload bytes (Sec. 3 design rationale). The client table is
+    * broadcast, so delivery adds no exchange.
     */
   def deliver(spark: SparkSession, collated: DataFrame, tree: ClientPlaceTree,
               broadcastDims: Set[String]): DataFrame = {
@@ -62,7 +64,7 @@ object DataConstructor {
       tree.broadcastFilter(cs, broadcastDims).map(c => (b, c.rank, c.pp, tree.metadataOnly(c)))
     }.toDF("c_bucket", "rank", "pp", "metadata_only")
     collated
-      .join(clients, col("bucket") === col("c_bucket"))
+      .join(broadcast(clients), col("bucket") === col("c_bucket"))
       .drop("c_bucket")
       .withColumn("delivered_bytes",
                   when(col("metadata_only"), lit(0L)).otherwise(col("payload_bytes")))

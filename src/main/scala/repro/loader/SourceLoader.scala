@@ -11,6 +11,13 @@ import repro.data.{MultiSourceGen, SourceSpec}
   * own source directory plus per-sample transformation columns — so each
   * source's reader state exists exactly once in the job, which is the
   * architectural property the paper's disaggregation buys.
+  *
+  * The scan declares the source schema `MultiSourceGen.schema` (id BIGINT,
+  * source STRING, text_len BIGINT, img_patches BIGINT, payload STRING), so
+  * building a loader's DataFrames runs no Spark job and each
+  * `bufferMetadata` call is one job. The Data Constructor broadcasts the
+  * step's plan to the loader's scan tasks, which pass on only the planned
+  * samples.
   */
 final case class SourceLoader(spec: SourceSpec, dir: String) {
 

@@ -67,6 +67,16 @@ class MultiSourceGenSpec extends SparkSpec {
     assert(capped.filter(length(col("payload")) === 4096).count() > 0)
   }
 
+  // A declared schema that drifted from the writer would read nulls silently.
+  test("readSource declares the schema Spark infers from the written files") {
+    loaders.foreach { l =>
+      val declared = MultiSourceGen.readSource(spark, SparkTestData.dir, l.spec).schema
+      val inferred = spark.read.parquet(s"${SparkTestData.dir}/${l.spec.name}").schema
+      assert(declared.map(f => (f.name, f.dataType, f.nullable)) ==
+             inferred.map(f => (f.name, f.dataType, f.nullable)))
+    }
+  }
+
   test("writeGroupParquet persists one readable dataset per source") {
     SparkTestData.ensure(spark)
     SparkTestData.group.sources.foreach { s =>

@@ -1,5 +1,9 @@
 package repro.loader
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
+import org.apache.spark.sql.execution.metric.SQLShuffleWriteMetricsReporter
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SparkTestData}
 import repro.core.{ClientPlaceTree, Planner}
@@ -48,6 +52,21 @@ class DataConstructorSpec extends SparkSpec {
     val seqs = p.allSeqs
     assert(seqs.exists(s => s.segments.map(_.id) != s.segments.map(_.id).sorted))
     seqs.foreach(s => assert(got(s.seqId) == s.segmentLens, s"seq ${s.seqId}"))
+  }
+
+  test("only the planned samples cross the one exchange to the constructor") {
+    val plans = new AdaptiveSparkPlanHelper {}
+    // A plan of its own, so that the cached `collated` cannot answer the query.
+    val r = Planner.planRows(Planner.backboneBalance(buffer.take(40), tree, ctx, nBins, ModelConfigs.Llama12B))
+    val c = DataConstructor.collate(spark, outs, r, ctx)
+    Seq(c, DataConstructor.deliver(spark, c, tree, broadcastDims = Set("TP"))).foreach { df =>
+      df.collect()
+      val executed  = df.queryExecution.executedPlan
+      val exchanges = plans.collect(executed) { case e: ShuffleExchangeExec => e }
+      assert(plans.collect(executed) { case j: BroadcastHashJoinExec => j }.nonEmpty)
+      assert(exchanges.size == 1)
+      assert(exchanges.head.metrics(SQLShuffleWriteMetricsReporter.SHUFFLE_RECORDS_WRITTEN).value == r.size)
+    }
   }
 
   test("padding completes every sequence to the context length") {

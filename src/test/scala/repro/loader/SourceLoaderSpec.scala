@@ -1,5 +1,6 @@
 package repro.loader
 
+import org.apache.spark.JobCount
 import repro.{Oracle, SparkSpec, SparkTestData}
 
 class SourceLoaderSpec extends SparkSpec {
@@ -38,5 +39,13 @@ class SourceLoaderSpec extends SparkSpec {
     metas.zip(rows).foreach { case (m, r) =>
       assert(m.id == r.getLong(0) && m.textLen == r.getLong(1) && m.imgPatches == r.getLong(2))
     }
+  }
+
+  test("bufferMetadata runs one Spark job, and building a loader's DataFrames none") {
+    val l = loader
+    val (metas, jobs) = JobCount.of(spark.sparkContext)(l.bufferMetadata(spark, limit = 16))
+    assert(metas.size == 16)
+    assert(jobs == 1)
+    assert(JobCount.of(spark.sparkContext)(l.transformed(spark))._2 == 0)
   }
 }

@@ -5,9 +5,8 @@ import repro.data.{DatasetGroup, MultiSourceGen}
 import scala.util.Random
 
 /** Step-buffer construction for the driver-side experiments: draws a
-  * mixed multisource buffer whose total token count covers one global
-  * batch (dp x microbatches x context), the way Source Loader buffers
-  * feed the Planner each step.
+  * mixed multisource buffer of a fixed number of samples per DP rank, the
+  * way Source Loader buffers feed the Planner each step.
   */
 object Workload {
 
@@ -20,10 +19,12 @@ object Workload {
     rnd.shuffle(MultiSourceGen.groupMetas(group, perSource, seed))
   }
 
-  /** One step's buffer: a fixed per-rank *sample* batch (the trainer sets
-    * batch size in samples; token totals then vary with the draw, exactly
-    * the Sec. 2.3 imbalance source). Distinct steps reseed the pool so
-    * iterations see different data.
+  /** One step's buffer: `dp` x `samplesPerRank` samples (32 per rank by
+    * default). The trainer sets batch size in samples, so token totals vary
+    * with the draw, exactly the Sec. 2.3 imbalance source; the buffer is
+    * not sized to fill `nBins` microbatches of `ctx` tokens, and neither
+    * parameter is read. Distinct steps reseed the pool so iterations see
+    * different data.
     */
   def stepBuffer(group: DatasetGroup, dp: Int, nBins: Int, ctx: Long,
                  step: Int, seed: Long = 11, samplesPerRank: Int = 32): Vector[SampleMeta] = {

@@ -1,8 +1,10 @@
 package repro.loader
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core.{ClientPlaceTree, PlanRow}
+import scala.jdk.CollectionConverters._
 
 /** The Data Constructor (Sec. 3): aggregates Source Loader outputs per DP
   * bucket and applies the microbatch transformations (packing/padding) and
@@ -13,15 +15,24 @@ import repro.core.{ClientPlaceTree, PlanRow}
   * only the planned samples of its source; those rows are shuffled by
   * bucket — the one exchange between loaders and constructor, replacing
   * the N-rank redundant reads of the colocated design — and collated into
-  * packed sequences per (bucket, bin, seqId).
+  * packed sequences per (bucket, bin, seqId). Delivery fans each sequence
+  * out to its bucket's clients from a literal client list, so it adds
+  * neither an exchange nor a broadcast.
   */
 object DataConstructor {
 
+  /** `PlanRow`'s columns, declared so that building a plan's DataFrame
+    * derives no encoder by reflection.
+    */
+  private lazy val planSchema = StructType(Seq(
+    StructField("sampleId", LongType, nullable = false), StructField("source", StringType),
+    StructField("bucket", IntegerType, nullable = false), StructField("bin", IntegerType, nullable = false),
+    StructField("seqId", LongType, nullable = false), StructField("pos", IntegerType, nullable = false)))
+
   /** The plan rows as a small DataFrame the join can consume. */
-  def planDf(spark: SparkSession, rows: Seq[PlanRow]): DataFrame = {
-    import spark.implicits._
-    rows.toDF("sampleId", "source", "bucket", "bin", "seqId", "pos")
-  }
+  def planDf(spark: SparkSession, rows: Seq[PlanRow]): DataFrame =
+    spark.createDataFrame(rows.map(r => Row(r.sampleId, r.source, r.bucket, r.bin, r.seqId, r.pos)).asJava,
+                          planSchema)
 
   /** Packed, padded per-(bucket, microbatch) sequences.
     *
@@ -54,18 +65,18 @@ object DataConstructor {
 
   /** Delivery view: one row per (sequence row x consuming client), after
     * `broadcast_at` thinning; PP>0 clients are marked metadata-only and
-    * carry no payload bytes (Sec. 3 design rationale). The client table is
-    * broadcast, so delivery adds no exchange.
+    * carry no payload bytes (Sec. 3 design rationale). Each row explodes
+    * the literal client list of its bucket, so delivery runs no join.
+    * `spark` is unused.
     */
   def deliver(spark: SparkSession, collated: DataFrame, tree: ClientPlaceTree,
               broadcastDims: Set[String]): DataFrame = {
-    import spark.implicits._
-    val clients = tree.bucketClients("DP").zipWithIndex.flatMap { case (cs, b) =>
-      tree.broadcastFilter(cs, broadcastDims).map(c => (b, c.rank, c.pp, tree.metadataOnly(c)))
-    }.toDF("c_bucket", "rank", "pp", "metadata_only")
+    val byBucket = tree.bucketClients("DP").map { cs =>
+      array(tree.broadcastFilter(cs, broadcastDims).map(c =>
+        struct(lit(c.rank) as "rank", lit(c.pp) as "pp", lit(tree.metadataOnly(c)) as "metadata_only")): _*)
+    }
     collated
-      .join(broadcast(clients), col("bucket") === col("c_bucket"))
-      .drop("c_bucket")
+      .select(col("*"), inline(element_at(array(byBucket: _*), col("bucket") + 1))) // 1-based
       .withColumn("delivered_bytes",
                   when(col("metadata_only"), lit(0L)).otherwise(col("payload_bytes")))
   }

@@ -10,15 +10,22 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 object JobCount {
   def of[A](sc: SparkContext)(body: => A): (A, Int) = {
     val jobs = new AtomicInteger
-    val listener = new SparkListener {
+    val a = listening(sc, new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
+    })(body)
+    (a, jobs.get)
+  }
+
+  /** Runs `body` with `listener` registered; it has seen every event that
+    * `body` caused when this returns.
+    */
+  def listening[A](sc: SparkContext, listener: SparkListener)(body: => A): A = {
     sc.listenerBus.waitUntilEmpty()
     sc.addSparkListener(listener)
     try {
       val a = body
       sc.listenerBus.waitUntilEmpty()
-      (a, jobs.get)
+      a
     } finally sc.removeSparkListener(listener)
   }
 }

@@ -10,11 +10,11 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side (the constructor hints
-  * its plan and client tables as broadcast). The Parquet reader batches
-  * 16 rows instead of Spark's 4096: a source row's payload can reach
-  * 1 MiB, and a 4096-row batch of payloads asks for ~100 MB of contiguous
-  * heap, more than a 2 GiB driver can give.
+  * paper's contribution is the broadcast side (the constructor hints its
+  * plan table as broadcast; delivery joins no client table). The Parquet
+  * reader batches 16 rows instead of Spark's 4096: a source row's payload
+  * can reach 1 MiB, and a 4096-row batch of payloads asks for ~100 MB of
+  * contiguous heap, more than a 2 GiB driver can give.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

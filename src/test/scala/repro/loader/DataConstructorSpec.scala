@@ -5,7 +5,8 @@ import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 import org.apache.spark.sql.execution.metric.SQLShuffleWriteMetricsReporter
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SparkTestData}
+import org.scalacheck.{Gen, Prop}
+import repro.{Oracle, PropHelper, SparkSpec, SparkTestData}
 import repro.core.{ClientPlaceTree, Planner}
 import repro.costmodel.ModelConfigs
 
@@ -63,10 +64,19 @@ class DataConstructorSpec extends SparkSpec {
       df.collect()
       val executed  = df.queryExecution.executedPlan
       val exchanges = plans.collect(executed) { case e: ShuffleExchangeExec => e }
-      assert(plans.collect(executed) { case j: BroadcastHashJoinExec => j }.nonEmpty)
+      // The plan's join; delivery adds none.
+      assert(plans.collect(executed) { case j: BroadcastHashJoinExec => j }.size == 1)
       assert(exchanges.size == 1)
       assert(exchanges.head.metrics(SQLShuffleWriteMetricsReporter.SHUFFLE_RECORDS_WRITTEN).value == r.size)
     }
+  }
+
+  test("planDf declares the schema and rows the PlanRow encoder gives") {
+    import spark.implicits._
+    val byEncoder = rows.toDF()
+    val df = DataConstructor.planDf(spark, rows)
+    assert(df.schema == byEncoder.schema)
+    assert(df.collect().toSeq == byEncoder.collect().toSeq)
   }
 
   test("padding completes every sequence to the context length") {
@@ -116,5 +126,26 @@ class DataConstructorSpec extends SparkSpec {
     val full = d.agg(sum("payload_bytes")).collect()(0).getLong(0)
     val sent = d.agg(sum("delivered_bytes")).collect()(0).getLong(0)
     assert(sent < full)
+  }
+
+  test("property: deliver sends each row to exactly its bucket's fetching clients") {
+    import spark.implicits._
+    val meshes = for {
+      pp <- Gen.choose(1, 3); dp <- Gen.choose(1, 3); cp <- Gen.choose(1, 3); tp <- Gen.choose(1, 3)
+      dims <- Gen.someOf("TP", "CP", "DP")
+    } yield (ClientPlaceTree(pp, dp, cp, tp), dims.toSet)
+    PropHelper.check(Prop.forAll(meshes) { case (t, dims) =>
+      // Two sequences per bucket; deliver reads only bucket and payload_bytes.
+      val seqs = (0 until t.dp).flatMap(b => Seq((b, 2L * b, 100L + b), (b, 2L * b + 1, 0L)))
+      val got = DataConstructor.deliver(spark, seqs.toDF("bucket", "seqId", "payload_bytes"), t, dims)
+        .select("seqId", "rank", "pp", "metadata_only", "delivered_bytes").collect()
+        .groupBy(_.getLong(0))
+      seqs.forall { case (b, seqId, bytes) =>
+        val want = t.broadcastFilter(t.bucketClients("DP")(b), dims).map(c => (c.rank, c.pp, c.pp > 0))
+        val rs = got.getOrElse(seqId, Array.empty)
+        rs.map(r => (r.getInt(1), r.getInt(2), r.getBoolean(3))).sorted.toSeq == want.sorted &&
+          rs.forall(r => r.getLong(4) == (if (r.getBoolean(3)) 0L else bytes))
+      }
+    }, cases = 30)
   }
 }

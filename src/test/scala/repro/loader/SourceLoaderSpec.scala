@@ -1,7 +1,11 @@
 package repro.loader
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import org.apache.spark.JobCount
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.{Oracle, SparkSpec, SparkTestData}
+import repro.core.SampleMeta
 
 class SourceLoaderSpec extends SparkSpec {
   lazy val spec   = SparkTestData.group.sources.head
@@ -33,11 +37,13 @@ class SourceLoaderSpec extends SparkSpec {
   }
 
   test("bufferMetadata matches the scanned rows") {
-    val metas = loader.bufferMetadata(spark, limit = 8)
-    val rows = loader.scan(spark).orderBy("id").limit(8)
-      .select("id", "text_len", "img_patches").collect()
-    metas.zip(rows).foreach { case (m, r) =>
-      assert(m.id == r.getLong(0) && m.textLen == r.getLong(1) && m.imgPatches == r.getLong(2))
+    val n = loader.scan(spark).count().toInt
+    for (limit <- Seq(0, 1, 8, n, n + 5)) {
+      val rows = loader.scan(spark).orderBy("id").limit(limit)
+        .select("id", "source", "text_len", "img_patches").collect()
+        .map(r => SampleMeta(r.getLong(0), r.getString(1), r.getLong(2), r.getLong(3))).toVector
+      assert(rows.size == math.min(limit, n))
+      assert(loader.bufferMetadata(spark, limit) == rows, s"limit $limit")
     }
   }
 
@@ -47,5 +53,25 @@ class SourceLoaderSpec extends SparkSpec {
     assert(metas.size == 16)
     assert(jobs == 1)
     assert(JobCount.of(spark.sparkContext)(l.transformed(spark))._2 == 0)
+  }
+
+  test("a second bufferMetadata call plans nothing and reads the whole source again") {
+    val l = loader
+    l.bufferMetadata(spark, limit = 16)
+    val sqlRuns, jobs = new AtomicInteger
+    val rowsRead = new AtomicLong
+    val metas = JobCount.listening(spark.sparkContext, new SparkListener {
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case _: SparkListenerSQLExecutionStart => sqlRuns.incrementAndGet()
+        case _                                 =>
+      }
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => rowsRead.addAndGet(m.inputMetrics.recordsRead))
+    })(l.bufferMetadata(spark, limit = 16))
+    assert(metas.size == 16)
+    assert(sqlRuns.get == 0)
+    assert(jobs.get == 1)
+    assert(rowsRead.get == l.scan(spark).count())
   }
 }

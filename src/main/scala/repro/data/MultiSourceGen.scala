@@ -16,10 +16,12 @@ import scala.util.Random
   * samples.
   *
   * Sample schema (`schema`): (id BIGINT, source STRING, text_len BIGINT,
-  * img_patches BIGINT, payload STRING). `payload` is filler bytes sized
-  * like the raw sample so fetch benches move realistic volumes.
-  * `readSource` declares this schema rather than inferring it, so opening
-  * a source runs no Spark job of its own.
+  * img_patches BIGINT, payload STRING, payload_bytes BIGINT). `payload` is
+  * filler bytes sized like the raw sample so fetch benches move realistic
+  * volumes; `payload_bytes` is its stored size, so that a reader that
+  * needs only the size never reads the payload. `readSource` declares this
+  * schema rather than inferring it, so opening a source runs no Spark job
+  * of its own.
   */
 object MultiSourceGen {
 
@@ -30,13 +32,15 @@ object MultiSourceGen {
   def idBase(spec: SourceSpec): Long = spec.id.toLong << 40
 
   /** Adds a filler payload column sized like the raw sample bytes
-    * (4 B/text token + 768 B/patch, capped to keep local runs bounded).
+    * (4 B/text token + 768 B/patch, capped to keep local runs bounded),
+    * and its size in bytes as `payload_bytes`.
     */
   def withPayload(df: DataFrame, capBytes: Int = 1 << 20): DataFrame =
     df.withColumn(
       "payload",
       repeat(lit("x"),
              least(lit(capBytes), (col("text_len") * 4 + col("img_patches") * 768).cast("int"))))
+      .withColumn("payload_bytes", octet_length(col("payload")).cast(LongType))
 
   /** Writes one Parquet dataset per source under `dir`/`source-name`, its
     * rows `sampleMetas(spec, n, seed)`. `sf` scales sample counts: SF 0.01
@@ -60,7 +64,8 @@ object MultiSourceGen {
     */
   lazy val schema: StructType = StructType(Seq(
     StructField("id", LongType), StructField("source", StringType), StructField("text_len", LongType),
-    StructField("img_patches", LongType), StructField("payload", StringType)))
+    StructField("img_patches", LongType), StructField("payload", StringType),
+    StructField("payload_bytes", LongType)))
 
   /** One source's Parquet dataset, read with the declared `schema`. */
   def readSource(spark: SparkSession, dir: String, spec: SourceSpec): DataFrame =

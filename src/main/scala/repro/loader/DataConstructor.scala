@@ -1,38 +1,56 @@
 package repro.loader
 
+import java.util.{Collections, WeakHashMap}
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.{ClientPlaceTree, PlanRow}
-import scala.jdk.CollectionConverters._
 
 /** The Data Constructor (Sec. 3): aggregates Source Loader outputs per DP
   * bucket and applies the microbatch transformations (packing/padding) and
   * parallelism transformations (PP metadata stripping, broadcast
   * thinning).
   *
-  * Dataflow: the plan rows are broadcast to every loader task, which keeps
-  * only the planned samples of its source; those rows are shuffled by
-  * bucket — the one exchange between loaders and constructor, replacing
-  * the N-rank redundant reads of the colocated design — and collated into
-  * packed sequences per (bucket, bin, seqId). Delivery fans each sequence
+  * Dataflow: the constructor keeps each loader output's planned
+  * `(id, seq_len, payload_bytes)` scan, planned once per DataFrame, like a
+  * long-lived constructor connected to long-lived loaders. Each step
+  * broadcasts the plan (sample id -> bucket, bin, sequence, position) to
+  * the loader tasks, which pass on only the planned samples, and hashes
+  * them by bucket — the one exchange between loaders and constructor,
+  * replacing the N-rank redundant reads of the colocated design. The
+  * constructor side collates them into packed sequences per (bucket, bin,
+  * seqId). A step is one Spark job, and the step path neither plans a SQL
+  * query over the sources nor reads `payload`. Delivery fans each sequence
   * out to its bucket's clients from a literal client list, so it adds
   * neither an exchange nor a broadcast.
   */
 object DataConstructor {
 
-  /** `PlanRow`'s columns, declared so that building a plan's DataFrame
-    * derives no encoder by reflection.
+  /** One planned sample on its way to its bucket: its sequence and
+    * position there, its length capped at the context, and its payload
+    * size. Flat, so that it crosses the exchange as one small object.
     */
-  private lazy val planSchema = StructType(Seq(
-    StructField("sampleId", LongType, nullable = false), StructField("source", StringType),
-    StructField("bucket", IntegerType, nullable = false), StructField("bin", IntegerType, nullable = false),
-    StructField("seqId", LongType, nullable = false), StructField("pos", IntegerType, nullable = false)))
+  private final case class Segment(bin: Int, seqId: Long, pos: Int, len: Long, bytes: Long)
 
-  /** The plan rows as a small DataFrame the join can consume. */
-  def planDf(spark: SparkSession, rows: Seq[PlanRow]): DataFrame =
-    spark.createDataFrame(rows.map(r => Row(r.sampleId, r.source, r.bucket, r.bin, r.seqId, r.pos)).asJava,
-                          planSchema)
+  /** The planned `(id, seq_len, payload_bytes)` scan of each loader output.
+    * `Dataset` does not override `equals`, so the keys are compared by
+    * identity, and a DataFrame no longer referenced drops its scan.
+    */
+  private val scans = Collections.synchronizedMap(new WeakHashMap[DataFrame, RDD[(Long, Long, Long)]])
+
+  private def scanned(df: DataFrame): RDD[(Long, Long, Long)] =
+    scans.computeIfAbsent(df, _ =>
+      df.select("id", "seq_len", "payload_bytes").rdd.map(r => (r.getLong(0), r.getLong(1), r.getLong(2))))
+
+  /** `collate`'s output columns. */
+  private lazy val schema = StructType(Seq(
+    StructField("bucket", IntegerType, nullable = false), StructField("bin", IntegerType, nullable = false),
+    StructField("seqId", LongType, nullable = false), StructField("n_segments", LongType, nullable = false),
+    StructField("seg_lens", ArrayType(LongType, containsNull = false), nullable = false),
+    StructField("tokens", LongType, nullable = false), StructField("payload_bytes", LongType, nullable = false),
+    StructField("padding", LongType, nullable = false)))
 
   /** Packed, padded per-(bucket, microbatch) sequences.
     *
@@ -41,26 +59,31 @@ object DataConstructor {
     */
   def collate(spark: SparkSession, loaderOutputs: Seq[DataFrame], rows: Seq[PlanRow],
               ctx: Long): DataFrame = {
-    // Oversize samples are truncated to the context (exactly as the
-    // Planner's packing does), so a capped sample fills one sequence.
-    val data = loaderOutputs
-      .map(_.select(col("id"), least(col("seq_len"), lit(ctx)) as "seq_len",
-                    length(col("payload")) as "pbytes"))
-      .reduce(_ unionByName _)
-    val joined = broadcast(planDf(spark, rows)).join(data, col("sampleId") === col("id"), "inner")
-    joined
-      .repartition(col("bucket"))
-      .groupBy("bucket", "bin", "seqId")
-      .agg(
-        count(lit(1))                                   as "n_segments",
-        // collect_list follows shuffle order, so the segments are put
-        // back in pack order by their planned position.
-        expr("transform(sort_array(collect_list(struct(pos, seq_len))), x -> x.seq_len)")
-                                                        as "seg_lens",
-        sum("seq_len")                                  as "tokens",
-        sum("pbytes")                                   as "payload_bytes",
-      )
-      .withColumn("padding", lit(ctx) - col("tokens"))
+    val sc = spark.sparkContext
+    val plan = sc.broadcast(rows.iterator.map(r => r.sampleId -> (r.bucket, r.bin, r.seqId, r.pos)).toMap)
+    // At most one task per core on each side of the exchange: a step moves
+    // a few hundred rows, and a task costs more to schedule than to run.
+    val cores = sc.defaultParallelism
+    val buckets = if (rows.isEmpty) 1 else rows.iterator.map(_.bucket).max + 1
+    val planned = sc.union(loaderOutputs.map(scanned)).coalesce(cores).mapPartitions { it =>
+      val p = plan.value
+      it.flatMap { case (id, len, bytes) =>
+        // Oversize samples are truncated to the context (exactly as the
+        // Planner's packing does), so a capped sample fills one sequence.
+        p.get(id).map { case (bucket, bin, seqId, pos) => bucket -> Segment(bin, seqId, pos, math.min(len, ctx), bytes) }
+      }
+    }
+    val collated = planned.partitionBy(new HashPartitioner(math.min(buckets, cores))).mapPartitions { it =>
+      it.toVector.groupBy { case (bucket, s) => (bucket, s.bin, s.seqId) }.iterator.map {
+        case ((bucket, bin, seqId), segs) =>
+          // Segments arrive in shuffle order; their planned position puts
+          // them back in pack order.
+          val ordered = segs.map(_._2).sortBy(_.pos)
+          val lens = ordered.map(_.len)
+          Row(bucket, bin, seqId, lens.size.toLong, lens, lens.sum, ordered.map(_.bytes).sum, ctx - lens.sum)
+      }
+    }
+    spark.createDataFrame(collated, schema)
   }
 
   /** Delivery view: one row per (sequence row x consuming client), after

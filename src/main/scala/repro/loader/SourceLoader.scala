@@ -8,21 +8,22 @@ import repro.data.{MultiSourceGen, SourceSpec}
 
 /** A Source Loader (Sec. 3): dedicated to exactly one source, it owns that
   * source's file access state and applies sample transformations. In this
-  * reproduction the loader is a Catalyst pipeline: one Parquet scan of its
-  * own source directory plus per-sample transformation columns — so each
-  * source's reader state exists exactly once in the job, which is the
-  * architectural property the paper's disaggregation buys.
+  * reproduction the loader is one Parquet scan of its own source directory
+  * plus per-sample transformation columns — so each source's reader state
+  * exists exactly once in the job, which is the architectural property the
+  * paper's disaggregation buys.
   *
   * The scan declares the source schema `MultiSourceGen.schema` (id BIGINT,
-  * source STRING, text_len BIGINT, img_patches BIGINT, payload STRING), so
-  * building a loader's DataFrames runs no Spark job. The loader opens its
-  * metadata scan once per `SparkSession`, at the first `bufferMetadata`
-  * call: the query is analysed, planned and its files listed then, and
-  * every later call is one Spark job over that planned scan, which reads
-  * the source again (nothing is cached). A source rewritten later in the
-  * same session is therefore not seen. The Data Constructor broadcasts
-  * the step's plan to the loader's scan tasks, which pass on only the
-  * planned samples.
+  * source STRING, text_len BIGINT, img_patches BIGINT, payload STRING,
+  * payload_bytes BIGINT), so building a loader's DataFrames runs no Spark
+  * job. The loader opens its metadata scan once per `SparkSession`, at the
+  * first `bufferMetadata` call: the query is analysed, planned and its
+  * files listed then, and every later call is one Spark job over that
+  * planned scan, which reads the source again (nothing is cached). A
+  * source rewritten later in the same session is therefore not seen. The
+  * Data Constructor plans its own scan of `transformed` once in the same
+  * way, and each step's plan is broadcast to that scan's tasks, which pass
+  * on only the planned samples and never read `payload`.
   */
 final case class SourceLoader(spec: SourceSpec, dir: String) {
 

@@ -60,7 +60,8 @@ class IntegrationSpec extends SparkSpec {
     val coll = DataConstructor.collate(spark, loaders.map(_.transformed(spark)), rows, ctx)
     val agg  = coll.groupBy("bucket", "bin").agg(sum("n_segments") as "n")
       .select(col("bucket").cast("long") as "bucket", col("bin").cast("long") as "bin", col("n"))
-    val planDf = DataConstructor.planDf(spark, rows).select("sampleId", "bucket", "bin")
+    import spark.implicits._
+    val planDf = rows.toDF().select("sampleId", "bucket", "bin")
     Oracle.assertEquivalent(agg,
       "SELECT CAST(bucket AS BIGINT) AS bucket, CAST(bin AS BIGINT) AS bin, count(*) AS n " +
         "FROM plan GROUP BY 1, 2",

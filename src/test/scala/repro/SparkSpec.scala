@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.SparkEvents
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -10,14 +13,24 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side (the constructor hints its
-  * plan table as broadcast; delivery joins no client table). The Parquet
+  * paper's contribution is the broadcast side (the constructor broadcasts
+  * its plan with `SparkContext.broadcast`, which this setting does not
+  * govern; delivery joins no client table). The Parquet
   * reader batches 16 rows instead of Spark's 4096: a source row's payload
   * can reach 1 MiB, and a 4096-row batch of payloads asks for ~100 MB of
   * contiguous heap, more than a 2 GiB driver can give.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** `body`'s result and the number of Spark jobs it started. */
+  def jobsOf[A](body: => A): (A, Int) = {
+    val jobs = new AtomicInteger
+    val a = SparkEvents.listening(spark.sparkContext, new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    })(body)
+    (a, jobs.get)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -21,7 +21,7 @@ class MultiSourceGenSpec extends SparkSpec {
     loaders.foreach { l =>
       val df = l.scan(spark)
       assert(df.count() == math.max(8L, (20000L * 0.01 * l.spec.relSize).toLong))
-      assert(df.columns.toSeq == Seq("id", "source", "text_len", "img_patches", "payload"))
+      assert(df.columns.toSeq == Seq("id", "source", "text_len", "img_patches", "payload", "payload_bytes"))
     }
   }
 
@@ -65,6 +65,14 @@ class MultiSourceGenSpec extends SparkSpec {
       assert(bad.count() == 0)
     }
     assert(capped.filter(length(col("payload")) === 4096).count() > 0)
+  }
+
+  test("payload_bytes is the stored size of every written payload") {
+    loaders.foreach { l =>
+      val df = l.scan(spark)
+      assert(df.filter(col("payload_bytes").isNull || col("payload_bytes") =!= octet_length(col("payload")))
+               .count() == 0, l.spec.name)
+    }
   }
 
   // A declared schema that drifted from the writer would read nulls silently.

@@ -1,10 +1,12 @@
 package repro.loader
 
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
-import org.apache.spark.sql.execution.metric.SQLShuffleWriteMetricsReporter
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.SparkEvents
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.execution.SparkPlanInfo
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropHelper, SparkSpec, SparkTestData}
 import repro.core.{ClientPlaceTree, Planner}
@@ -55,28 +57,49 @@ class DataConstructorSpec extends SparkSpec {
     seqs.foreach(s => assert(got(s.seqId) == s.segmentLens, s"seq ${s.seqId}"))
   }
 
+  /** Whether a SQL execution's plan holds a file scan (whose plan info
+    * carries its file location).
+    */
+  private def scansFiles(p: SparkPlanInfo): Boolean =
+    p.metadata.contains("Location") || p.children.exists(scansFiles)
+
   test("only the planned samples cross the one exchange to the constructor") {
-    val plans = new AdaptiveSparkPlanHelper {}
-    // A plan of its own, so that the cached `collated` cannot answer the query.
+    // A plan of its own, so that the cached `collated` cannot answer it.
     val r = Planner.planRows(Planner.backboneBalance(buffer.take(40), tree, ctx, nBins, ModelConfigs.Llama12B))
-    val c = DataConstructor.collate(spark, outs, r, ctx)
-    Seq(c, DataConstructor.deliver(spark, c, tree, broadcastDims = Set("TP"))).foreach { df =>
-      df.collect()
-      val executed  = df.queryExecution.executedPlan
-      val exchanges = plans.collect(executed) { case e: ShuffleExchangeExec => e }
-      // The plan's join; delivery adds none.
-      assert(plans.collect(executed) { case j: BroadcastHashJoinExec => j }.size == 1)
-      assert(exchanges.size == 1)
-      assert(exchanges.head.metrics(SQLShuffleWriteMetricsReporter.SHUFFLE_RECORDS_WRITTEN).value == r.size)
-    }
+    DataConstructor.collate(spark, outs, r, ctx)
+    val jobs, scanRuns = new AtomicInteger
+    val shuffled = new AtomicLong
+    SparkEvents.listening(spark.sparkContext, new SparkListener {
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case x: SparkListenerSQLExecutionStart if scansFiles(x.sparkPlanInfo) => scanRuns.incrementAndGet()
+        case _ =>
+      }
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => shuffled.addAndGet(m.shuffleWriteMetrics.recordsWritten))
+    })(DataConstructor.deliver(spark, DataConstructor.collate(spark, outs, r, ctx), tree, Set("TP")).collect())
+    assert(jobs.get == 1)
+    assert(scanRuns.get == 0)
+    assert(shuffled.get == r.size)
   }
 
-  test("planDf declares the schema and rows the PlanRow encoder gives") {
-    import spark.implicits._
-    val byEncoder = rows.toDF()
-    val df = DataConstructor.planDf(spark, rows)
-    assert(df.schema == byEncoder.schema)
-    assert(df.collect().toSeq == byEncoder.collect().toSeq)
+  test("collate and deliver never read payload") {
+    // A payload that fails when read: a query that needs it cannot finish.
+    val unread = udf((_: String) => (throw new IllegalStateException("payload was read")): String)
+    val unreadable = outs.map(_.withColumn("payload", unread(col("payload"))))
+    val c = DataConstructor.collate(spark, unreadable, rows, ctx)
+    assert(DataConstructor.deliver(spark, c, tree, Set("TP")).agg(sum("delivered_bytes")).collect()(0).getLong(0) > 0)
+  }
+
+  test("an empty plan collates to zero rows") {
+    assert(DataConstructor.collate(spark, outs, Seq.empty, ctx).count() == 0)
+  }
+
+  test("collate keeps the column names and types that deliver and the step benchmark read") {
+    assert(collated.schema.map(f => f.name -> f.dataType) == Seq(
+      "bucket" -> IntegerType, "bin" -> IntegerType, "seqId" -> LongType, "n_segments" -> LongType,
+      "seg_lens" -> ArrayType(LongType, containsNull = false), "tokens" -> LongType,
+      "payload_bytes" -> LongType, "padding" -> LongType))
   }
 
   test("padding completes every sequence to the context length") {
@@ -91,16 +114,19 @@ class DataConstructorSpec extends SparkSpec {
   }
 
   test("oracle: per-bucket token totals agree with DuckDB over plan join data") {
-    val data = outs.map(_.select("id", "seq_len")).reduce(_ unionByName _)
-    val planDf = DataConstructor.planDf(spark, rows).select("sampleId", "bucket")
-    val agg = collated.groupBy("bucket").agg(sum("tokens") as "toks")
+    import spark.implicits._
+    // Only the planned rows go to DuckDB, which keeps the payloads it loads small.
+    val ids = rows.map(_.sampleId)
+    val data = outs.map(_.select("id", "seq_len", "payload").filter(col("id").isInCollection(ids)))
+      .reduce(_ unionByName _)
+    val agg = collated.groupBy("bucket").agg(sum("tokens") as "toks", sum("payload_bytes") as "bytes")
     Oracle.assertEquivalent(
-      agg.select(col("bucket").cast("long") as "bucket", col("toks")),
+      agg.select(col("bucket").cast("long") as "bucket", col("toks"), col("bytes")),
       s"SELECT CAST(p.bucket AS BIGINT) AS bucket, " +
-        s"sum(LEAST(CAST(d.seq_len AS BIGINT), $ctx)) AS toks " +
+        s"sum(LEAST(CAST(d.seq_len AS BIGINT), $ctx)) AS toks, sum(length(d.payload)) AS bytes " +
         "FROM plan p JOIN data d ON CAST(p.sampleId AS BIGINT) = CAST(d.id AS BIGINT) " +
         "GROUP BY CAST(p.bucket AS BIGINT)",
-      "plan" -> planDf, "data" -> data)
+      "plan" -> rows.toDF().select("sampleId", "bucket"), "data" -> data)
   }
 
   test("deliver fans sequences out to each bucket's clients") {

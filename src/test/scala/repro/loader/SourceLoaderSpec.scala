@@ -1,7 +1,7 @@
 package repro.loader
 
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
-import org.apache.spark.JobCount
+import org.apache.spark.SparkEvents
 import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.{Oracle, SparkSpec, SparkTestData}
@@ -49,10 +49,10 @@ class SourceLoaderSpec extends SparkSpec {
 
   test("bufferMetadata runs one Spark job, and building a loader's DataFrames none") {
     val l = loader
-    val (metas, jobs) = JobCount.of(spark.sparkContext)(l.bufferMetadata(spark, limit = 16))
+    val (metas, jobs) = jobsOf(l.bufferMetadata(spark, limit = 16))
     assert(metas.size == 16)
     assert(jobs == 1)
-    assert(JobCount.of(spark.sparkContext)(l.transformed(spark))._2 == 0)
+    assert(jobsOf(l.transformed(spark))._2 == 0)
   }
 
   test("a second bufferMetadata call plans nothing and reads the whole source again") {
@@ -60,7 +60,7 @@ class SourceLoaderSpec extends SparkSpec {
     l.bufferMetadata(spark, limit = 16)
     val sqlRuns, jobs = new AtomicInteger
     val rowsRead = new AtomicLong
-    val metas = JobCount.listening(spark.sparkContext, new SparkListener {
+    val metas = SparkEvents.listening(spark.sparkContext, new SparkListener {
       override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
         case _: SparkListenerSQLExecutionStart => sqlRuns.incrementAndGet()
         case _                                 =>

@@ -64,8 +64,9 @@ class DataConstructorSpec extends SparkSpec {
     p.metadata.contains("Location") || p.children.exists(scansFiles)
 
   test("only the planned samples cross the one exchange to the constructor") {
-    // A plan of its own, so that the cached `collated` cannot answer it.
     val r = Planner.planRows(Planner.backboneBalance(buffer.take(40), tree, ctx, nBins, ModelConfigs.Llama12B))
+    // The first collate over these outputs plans their scans; the step
+    // measured below is a later one.
     DataConstructor.collate(spark, outs, r, ctx)
     val jobs, scanRuns = new AtomicInteger
     val shuffled = new AtomicLong

@@ -11,7 +11,7 @@ final case class ClientRef(rank: Int, pp: Int, dp: Int, cp: Int, tp: Int)
   * the order in which parallelism transformations consume data: a PP stage
   * holds DP groups, each DP group holds CP groups, each CP group holds TP
   * ranks. The tree answers the two questions the data plane needs:
-  * how many buckets a `distribute(axis)` call creates, and which concrete
+  * how many DP buckets `distribute("DP")` creates, and which concrete
   * clients consume each bucket (optionally thinned by `broadcast_at`).
   */
 final case class ClientPlaceTree(pp: Int, dp: Int, cp: Int, tp: Int) {
@@ -32,27 +32,18 @@ final case class ClientPlaceTree(pp: Int, dp: Int, cp: Int, tp: Int) {
 
   def client(rank: Int): ClientRef = clients(rank)
 
-  /** Number of data buckets the given distribution axis induces. */
-  def bucketCount(axis: String): Int = axis match {
-    case "DP"    => dp
-    case "CP"    => dp * cp // DP x CP GPUs as uniform consumers (ByteScale-style)
-    case "WORLD" => world
-    case other   => sys.error(s"unknown distribute axis $other")
+  /** Number of data buckets `distribute(axis)` creates: one per DP group.
+    * `"DP"` is the only axis.
+    */
+  def bucketCount(axis: String): Int = {
+    require(axis == "DP", s"unknown distribute axis $axis")
+    dp
   }
 
-  /** Bucket index a client reads from, for the given axis. */
-  def bucketOf(c: ClientRef, axis: String): Int = axis match {
-    case "DP"    => c.dp
-    case "CP"    => c.dp * cp + c.cp
-    case "WORLD" => c.rank
-    case other   => sys.error(s"unknown distribute axis $other")
-  }
-
-  /** Clients of every bucket along `axis`, in bucket order. */
+  /** Clients of every DP bucket, in bucket order. */
   def bucketClients(axis: String): Vector[Vector[ClientRef]] = {
-    val n = bucketCount(axis)
-    val grouped = clients.groupBy(bucketOf(_, axis))
-    Vector.tabulate(n)(i => grouped.getOrElse(i, Vector.empty))
+    val grouped = clients.groupBy(_.dp)
+    Vector.tabulate(bucketCount(axis))(grouped)
   }
 
   /** Thins a client set per `broadcast_at(dim)`: only the dim-0 client of

@@ -81,11 +81,11 @@ object Planner {
     * strategies.
     */
   private def balancedBackbone(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long, nBins: Int,
-                               bb: ModelConfig, method: String): Vector[Vector[Vector[PackedSeq]]] =
+                               bb: ModelConfig): Vector[Vector[Vector[PackedSeq]]] =
     Orchestration.packed(tree, Packing.firstFit(buffer, ctx))
       .distribute("DP")
       .cost(CostFns.backbone(bb))
-      .balance(method, nBins)
+      .balance("greedybinpack", nBins)
       .plan()
 
   /** Inter-microbatch balancing on the LLM backbone only: sequences are
@@ -93,8 +93,8 @@ object Planner {
     * their sequences.
     */
   def backboneBalance(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long,
-                      nBins: Int, bb: ModelConfig, method: String = "greedybinpack"): StepPlan = {
-    val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb, method)
+                      nBins: Int, bb: ModelConfig): StepPlan = {
+    val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb)
     StepPlan(tree, nBins, backbone, colocatedEncoderCells(tree, nBins, backbone))
   }
 
@@ -103,9 +103,8 @@ object Planner {
     * ranks with the encoder cost model.
     */
   def hybridBalance(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long,
-                    nBins: Int, bb: ModelConfig, enc: ModelConfig,
-                    method: String = "greedybinpack"): StepPlan = {
-    val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb, method)
+                    nBins: Int, bb: ModelConfig, enc: ModelConfig): StepPlan = {
+    val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb)
     val perBin = Vector.tabulate(nBins) { m =>
       Balancer.greedyBinPack(backbone.flatMap(bucket => imagesOf(bucket(m))), tree.world, CostFns.encoder(enc))
     }

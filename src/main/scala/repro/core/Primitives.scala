@@ -14,28 +14,27 @@ package repro.core
   *
   * `T` is whatever the strategy schedules — `SampleMeta` or `PackedSeq` —
   * so one builder serves every modality drawn from the same shared
-  * buffer. `plan()` returns the [bucket][bin] grid `StepPlan` holds, and
+  * buffer. Buckets are always the tree's DP groups: the paper's
+  * `group_size` sub-grouping and its CP/WORLD axes are not modelled,
+  * since a whole world-4096 hybrid plan takes a fraction of a second.
+  * `plan()` returns the [bucket][bin] grid `StepPlan` holds, and
   * `consumers` says which clients fetch each bucket.
   */
 final case class Orchestration[T](
     tree: ClientPlaceTree,
     items: Vector[T],
-    axis: String = "DP",
-    groupSize: Int = 1,
     costFn: T => Double = (_: T) => 1.0,
     method: String = "sequential",
     nBins: Int = 1,
     broadcastDims: Set[String] = Set.empty,
 ) {
 
-  /** distribute(axis, group_size): pick the ClientPlaceTree level that
-    * defines the buckets; `groupSize > 1` balances within subgroups of
-    * that level to cut coordination cost on very large clusters.
+  /** distribute(axis): the ClientPlaceTree level that defines the
+    * buckets. Only `"DP"` is accepted; anything else fails here.
     */
-  def distribute(axis: String, groupSize: Int = 1): Orchestration[T] = {
-    require(groupSize >= 1)
+  def distribute(axis: String): Orchestration[T] = {
     tree.bucketCount(axis) // validates the axis eagerly
-    copy(axis = axis, groupSize = groupSize)
+    this
   }
 
   /** cost(costfn): register the per-item cost estimate. */
@@ -55,34 +54,18 @@ final case class Orchestration[T](
     */
   def broadcastAt(dim: String): Orchestration[T] = copy(broadcastDims = broadcastDims + dim)
 
-  /** plan(): run the balancing hierarchy and emit the plan as a
-    * [bucket][bin] -> items grid.
-    *
-    * Bucket level: with `groupSize` g, items are first balanced over
-    * ceil(n/g) superbuckets, then balanced again within each superbucket
-    * over its member buckets. Bin level: items of each bucket are split
-    * into `nBins` microbatch bins (inter-microbatch balancing), with the
-    * same method.
+  /** plan(): balance the items over the DP buckets, then each bucket's
+    * items over `nBins` microbatch bins (inter-microbatch balancing),
+    * with the same method, and emit the [bucket][bin] -> items grid.
     */
-  def plan(): Vector[Vector[Vector[T]]] = {
-    val n      = tree.bucketCount(axis)
-    val nSuper = math.ceil(n.toDouble / groupSize).toInt
-    val superBuckets = Balancer.byName(method, items, nSuper, costFn)
-    val buckets = Vector.newBuilder[Vector[T]]
-    superBuckets.zipWithIndex.foreach { case (group, si) =>
-      val members = math.min(groupSize, n - si * groupSize)
-      Balancer.byName(method, group, members, costFn).foreach(buckets += _)
-    }
-    val perBucket = buckets.result()
-    require(perBucket.size == n, s"bucket construction bug: ${perBucket.size} != $n")
-    perBucket.map(Balancer.byName(method, _, nBins, costFn))
-  }
+  def plan(): Vector[Vector[Vector[T]]] =
+    Balancer.byName(method, items, tree.dp, costFn).map(Balancer.byName(method, _, nBins, costFn))
 
   /** Per bucket, the clients that fetch payloads after `broadcast_at`
     * thinning; PP>0 clients fetch metadata only.
     */
   def consumers: Vector[Vector[ClientRef]] =
-    tree.bucketClients(axis).map(tree.broadcastFilter(_, broadcastDims))
+    tree.bucketClients("DP").map(tree.broadcastFilter(_, broadcastDims))
 }
 
 object Orchestration {

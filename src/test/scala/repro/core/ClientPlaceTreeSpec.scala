@@ -24,34 +24,23 @@ class ClientPlaceTreeSpec extends AnyFunSuite {
 
   test("bucketCount per axis") {
     assert(t.bucketCount("DP") == 2)
-    assert(t.bucketCount("CP") == 4)
-    assert(t.bucketCount("WORLD") == 16)
   }
 
   test("unknown axis is rejected") {
-    intercept[RuntimeException](t.bucketCount("EP"))
-    intercept[RuntimeException](t.bucketOf(t.client(0), "EP"))
-  }
-
-  test("bucketOf DP ignores pp/cp/tp") {
-    assert(t.clients.filter(_.dp == 1).forall(c => t.bucketOf(c, "DP") == 1))
-  }
-
-  test("bucketOf CP combines dp and cp") {
-    val c = t.clients.find(x => x.dp == 1 && x.cp == 1).get
-    assert(t.bucketOf(c, "CP") == 3)
-  }
-
-  test("bucketClients partitions the world for every axis") {
-    Seq("DP", "CP", "WORLD").foreach { axis =>
-      val bs = t.bucketClients(axis)
-      assert(bs.size == t.bucketCount(axis))
-      assert(bs.flatten.map(_.rank).sorted == (0 until 16).toVector)
+    Seq("EP", "CP", "WORLD").foreach { axis =>
+      intercept[RuntimeException](t.bucketCount(axis))
+      intercept[RuntimeException](t.bucketClients(axis))
     }
   }
 
-  test("every CP bucket holds pp*tp clients") {
-    assert(t.bucketClients("CP").forall(_.size == t.pp * t.tp))
+  test("bucketOf DP ignores pp/cp/tp") {
+    assert(t.bucketClients("DP")(1) == t.clients.filter(_.dp == 1))
+  }
+
+  test("bucketClients partitions the world for every axis") {
+    val bs = t.bucketClients("DP")
+    assert(bs.size == t.bucketCount("DP"))
+    assert(bs.flatten.map(_.rank).sorted == (0 until 16).toVector)
   }
 
   test("broadcastFilter TP keeps only tp==0") {
@@ -76,7 +65,7 @@ class ClientPlaceTreeSpec extends AnyFunSuite {
   test("degenerate single-rank tree works") {
     val one = ClientPlaceTree(1, 1, 1, 1)
     assert(one.world == 1 && one.bucketCount("DP") == 1)
-    assert(one.bucketClients("WORLD").flatten.size == 1)
+    assert(one.bucketClients("DP").flatten.size == 1)
   }
 
   test("degrees must be positive") {

@@ -54,9 +54,10 @@ class MixScheduleSpec extends AnyFunSuite {
   }
 
   test("draw takes the first buffered samples of each source in order") {
-    val buf = Seq(SampleMeta(1, "a", 5, 0), SampleMeta(2, "a", 5, 0), SampleMeta(3, "b", 5, 0))
-    val (taken, short) = MixSampler.draw(buf, StaticMix(Map("a" -> 0.5, "b" -> 0.5)), 0, 2)
-    assert(taken.map(_.id).sorted == Vector(1L, 3L))
+    // Out of id order, so taking each source's lowest ids would differ.
+    val buf = Seq(7L -> "a", 9L -> "b", 2L -> "a", 4L -> "b", 1L -> "a").map { case (id, s) => SampleMeta(id, s, 5, 0) }
+    val (taken, short) = MixSampler.draw(buf, StaticMix(Map("a" -> 0.5, "b" -> 0.5)), 0, 4)
+    assert(taken.map(_.id) == Vector(7L, 2L, 9L, 4L))
     assert(short.isEmpty)
   }
 

@@ -164,6 +164,23 @@ class PlannerSpec extends AnyFunSuite {
     assert(imgs.map(_.sampleId) == Vector(2L) && imgs.head.patches == 7)
   }
 
+  test("hybrid plans on a dp-1024 navit_data mesh match their recorded digests") {
+    // The plan_2k step benchmark's inputs: 32 samples per DP rank, seed 12.
+    val big = ClientPlaceTree(pp = 1, dp = 1024, cp = 1, tp = 2)
+    val digests = Vector(0, 1).map { k =>
+      val buf = Workload.stepBuffer(SourceCatalog.navitData, big.dp, 8, 32768L, step = k, seed = 12 * 1009L)
+      val p   = Planner.hybridBalance(buf, big, 32768L, 8, bb, ModelConfigs.ViT2B)
+      val sha = java.security.MessageDigest.getInstance("SHA-256")
+      Planner.planRows(p).foreach(r => sha.update(s"$r\n".getBytes("UTF-8")))
+      for (r <- 0 until big.world; m <- 0 until 8)
+        sha.update(s"$r $m ${p.encoderCells(r)(m).mkString(",")}\n".getBytes("UTF-8"))
+      sha.digest().map("%02x".format(_)).mkString
+    }
+    assert(digests == Vector(
+      "fd212ccb041b6c21367fbc1d255ea490ce1a4c657650900565e43da2e2531c48",
+      "97b771244b45f89e01a37a83f042d9a37d60c8cba27e51721a402ee8188f386c"))
+  }
+
   test("totalTokens matches the sum over packed sequences") {
     val p = Planner.vanilla(buffer(), tree, ctx, nBins)
     assert(p.totalTokens == p.allSeqs.map(_.tokens).sum)

@@ -13,7 +13,7 @@ class PrimitivesSpec extends AnyFunSuite {
   def orch(items: Vector[SampleMeta]): Orchestration[SampleMeta] = Orchestration(tree, items)
 
   test("distribute validates the axis eagerly") {
-    intercept[RuntimeException](orch(metas(4)).distribute("BOGUS"))
+    Seq("BOGUS", "CP", "WORLD").foreach(a => intercept[RuntimeException](orch(metas(4)).distribute(a)))
   }
 
   test("plan covers every item exactly once") {
@@ -24,19 +24,6 @@ class PrimitivesSpec extends AnyFunSuite {
   test("plan respects bucket and bin counts") {
     val p = orch(metas(40)).distribute("DP").balance("greedybinpack", 4).plan()
     assert(p.size == 4 && p.forall(_.size == 4))
-  }
-
-  test("WORLD axis creates one bucket per rank") {
-    val p = orch(metas(16)).distribute("WORLD").plan()
-    assert(p.size == tree.world)
-  }
-
-  test("groupSize subgrouping still yields full bucket coverage") {
-    val p = orch(metas(60)).distribute("DP", groupSize = 2)
-      .cost(CostFns.seqLen).balance("greedybinpack", 2).plan()
-    assert(p.size == 4)
-    assert(p.flatten.flatten.map(_.id).distinct.size == 60)
-    assert(p.forall(_.flatten.nonEmpty))
   }
 
   test("balanced plan has lower bucket imbalance than sequential") {

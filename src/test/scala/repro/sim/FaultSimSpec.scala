@@ -56,7 +56,15 @@ class FaultSimSpec extends AnyFunSuite {
     val cfg = base.copy(plannerFailEvery = 15, plannerRecoverSec = 2.6, prefetch = 3)
     val tr  = FaultSim.run(cfg)
     assert(tr.map(_.bufferAfter).max <= cfg.prefetch)
-    assert(tr.last.bufferAfter >= 0)
+    // Injections at steps 20 and 35: each drains the buffer, which is full
+    // again before the next injection and at the last step.
+    Seq(20 -> 35, 35 -> tr.size).foreach { case (from, until) =>
+      val after   = tr.slice(from, until).map(_.bufferAfter)
+      val drained = after.indexWhere(_ < cfg.prefetch)
+      assert(drained >= 0, s"the failure at step $from did not drain the buffer")
+      assert(after.indexWhere(_ == cfg.prefetch, drained) > drained, s"no refill between steps $from and $until")
+    }
+    assert(tr.last.bufferAfter == cfg.prefetch)
   }
 
   test("a slower producer than consumer eventually stalls even unfailed") {

@@ -18,7 +18,7 @@ object CostFns {
     * packed segment (the paper's "token count quadratic functions").
     */
   def backbone(m: ModelConfig): PackedSeq => Double =
-    seq => FlopsModel.packedSequence(m, seq.segmentLens)
+    seq => FlopsModel.packedSequence(m, seq.segments.iterator.map(_.seqLen))
 
   /** Encoder cost of one image: per-image quadratic attention over its
     * patch tokens.

@@ -16,9 +16,8 @@ final case class StepPlan(
     /** [worldRank][bin] -> images (encoder runs world-wide data parallel). */
     encoderCells: Vector[Vector[Vector[ImageItem]]],
 ) {
-  def allSeqs: Vector[PackedSeq]   = backboneCells.flatten.flatten
-  def allImages: Vector[ImageItem] = encoderCells.flatten.flatten
-  def totalTokens: Long            = allSeqs.map(_.tokens).sum
+  def allSeqs: Vector[PackedSeq] = backboneCells.flatten.flatten
+  def totalTokens: Long          = allSeqs.map(_.tokens).sum
 }
 
 /** One row of the plan as the Spark Data Constructor consumes it: `pos`
@@ -35,10 +34,13 @@ final case class PlanRow(sampleId: Long, source: String, bucket: Int, bin: Int, 
 object Planner {
 
   /** Extracts the image items of a set of packed sequences. */
-  def imagesOf(seqs: Seq[PackedSeq]): Vector[ImageItem] =
-    seqs.flatMap(_.segments).collect {
-      case s if s.imgPatches > 0 => ImageItem(s.id, s.source, s.imgPatches)
-    }.toVector
+  def imagesOf(seqs: Seq[PackedSeq]): Vector[ImageItem] = {
+    val images = Vector.newBuilder[ImageItem]
+    seqs.foreach(_.segments.foreach { s =>
+      if (s.imgPatches > 0) images += ImageItem(s.id, s.source, s.imgPatches)
+    })
+    images.result()
+  }
 
   /** Images follow their sequence's bucket: dealt in order over the
     * bucket's own GPU ranks, its CP/TP/PP replicas acting as the encoder's
@@ -101,12 +103,17 @@ object Planner {
   /** Hybrid balance (Fig. 9's VLM strategy): backbone balance plus
     * interleaved balancing of each microbatch's images across all world
     * ranks with the encoder cost model.
+    *
+    * The bins' encoder balancing runs in parallel on the common ForkJoin
+    * pool. Each bin's result is written to the bin's own index, so the
+    * plan is the same as a sequential run's.
     */
   def hybridBalance(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long,
                     nBins: Int, bb: ModelConfig, enc: ModelConfig): StepPlan = {
     val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb)
-    val perBin = Vector.tabulate(nBins) { m =>
-      Balancer.greedyBinPack(backbone.flatMap(bucket => imagesOf(bucket(m))), tree.world, CostFns.encoder(enc))
+    val encCost  = CostFns.encoder(enc)
+    val perBin = Balancer.parTabulate(nBins) { m =>
+      Balancer.greedyBinPack(imagesOf(backbone.flatMap(_(m))), tree.world, encCost)
     }
     StepPlan(tree, nBins, backbone, Vector.tabulate(tree.world, nBins)((r, m) => perBin(m)(r)))
   }
@@ -115,11 +122,15 @@ object Planner {
     * Constructor (sample -> dp bucket, microbatch, packed sequence and
     * position in it).
     */
-  def planRows(plan: StepPlan): Vector[PlanRow] =
-    for {
-      (bucket, b) <- plan.backboneCells.zipWithIndex
-      (bin, m)    <- bucket.zipWithIndex
-      seq         <- bin
-      (s, pos)    <- seq.segments.zipWithIndex
-    } yield PlanRow(s.id, s.source, b, m, seq.seqId, pos)
+  def planRows(plan: StepPlan): Vector[PlanRow] = {
+    val rows = Vector.newBuilder[PlanRow]
+    for (b <- plan.backboneCells.indices; m <- plan.backboneCells(b).indices; seq <- plan.backboneCells(b)(m)) {
+      var pos = 0
+      seq.segments.foreach { s =>
+        rows += PlanRow(s.id, s.source, b, m, seq.seqId, pos)
+        pos += 1
+      }
+    }
+    rows.result()
+  }
 }

@@ -57,9 +57,19 @@ final case class Orchestration[T](
   /** plan(): balance the items over the DP buckets, then each bucket's
     * items over `nBins` microbatch bins (inter-microbatch balancing),
     * with the same method, and emit the [bucket][bin] -> items grid.
+    *
+    * `costFn` is called once per item, on the calling thread, and both
+    * levels read that price; `"sequential"` calls it not at all. The
+    * buckets' bin balancing runs in parallel on the common ForkJoin pool,
+    * each bucket's bins written to the bucket's own index, so the plan is
+    * the same as a sequential run's.
     */
-  def plan(): Vector[Vector[Vector[T]]] =
-    Balancer.byName(method, items, tree.dp, costFn).map(Balancer.byName(method, _, nBins, costFn))
+  def plan(): Vector[Vector[Vector[T]]] = {
+    lazy val costs = items.iterator.map(costFn).toArray
+    val price      = (i: Int) => costs(i)
+    val buckets    = Balancer.byName(method, items.indices, tree.dp, price)
+    Balancer.parTabulate(buckets.size)(b => Balancer.byName(method, buckets(b), nBins, price).map(_.map(items)))
+  }
 
   /** Per bucket, the clients that fetch payloads after `broadcast_at`
     * thinning; PP>0 clients fetch metadata only.

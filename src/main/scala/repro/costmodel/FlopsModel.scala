@@ -31,11 +31,17 @@ object FlopsModel {
     m.layers * 4.0 * m.hidden.toDouble * l.toDouble * l.toDouble
 
   /** Forward FLOPs of a packed sequence with segment lengths `segments`
-    * under a segmented attention mask (no cross-contamination).
+    * under a segmented attention mask (no cross-contamination), summed in
+    * one pass over the segments.
     */
-  def packedSequence(m: ModelConfig, segments: Seq[Long]): Double = {
-    val tokens = segments.map(_.toDouble).sum
-    tokens * linearPerToken(m) + segments.map(attentionSegment(m, _)).sum
+  def packedSequence(m: ModelConfig, segments: IterableOnce[Long]): Double = {
+    var tokens = 0.0
+    var attn   = 0.0
+    segments.iterator.foreach { l =>
+      tokens += l.toDouble
+      attn += attentionSegment(m, l)
+    }
+    tokens * linearPerToken(m) + attn
   }
 
   /** Forward FLOPs for one image of `patches` tokens through a ViT encoder.

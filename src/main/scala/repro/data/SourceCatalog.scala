@@ -40,7 +40,6 @@ final case class SourceSpec(
 final case class DatasetGroup(name: String, sources: Seq[SourceSpec]) {
   def take(n: Int): DatasetGroup = DatasetGroup(s"${name}_$n", sources.take(n))
   def fileStates: Seq[Double]    = sources.map(_.fileStateBytes)
-  def transformCosts: Seq[Double] = sources.map(_.transformSec)
 }
 
 /** Synthetic stand-ins for the paper's workloads (Sec. 7.1):

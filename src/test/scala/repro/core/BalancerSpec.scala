@@ -106,6 +106,20 @@ class BalancerSpec extends AnyFunSuite {
     })
   }
 
+  test("property: greedy equals the reference LPT on tie-heavy inputs") {
+    // Integer costs in 0..5 tie often; items are their arrival positions, so
+    // any change to the order of equal costs or to the bin tie-break shows.
+    val tieHeavy = for {
+      n     <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 60))
+      costs <- Gen.listOfN(n, Gen.choose(0, 5).map(_.toDouble))
+      nBins <- Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(2, 8), 1 -> Gen.choose(n + 1, n + 5))
+    } yield (costs.toVector, nBins)
+    check(Prop.forAll(tieHeavy) { case (costs, nBins) =>
+      val items = costs.indices.toVector
+      Balancer.greedyBinPack(items, nBins, costs) == GreedyReference.greedyBinPack(items, nBins, costs)
+    })
+  }
+
   test("property: greedy max bin respects the LPT 4/3-of-OPT bound") {
     check(Prop.forAll(itemsGen, binsGen) { (items, n) =>
       items.isEmpty || {

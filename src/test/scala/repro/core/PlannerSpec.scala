@@ -45,7 +45,7 @@ class PlannerSpec extends AnyFunSuite {
     val b   = Planner.backboneBalance(buf, tree, ctx, nBins, bb)
     val h   = Planner.hybridBalance(buf, tree, ctx, nBins, bb, enc)
     assert(h.backboneCells == b.backboneCells)
-    assert(h.allImages.map(_.sampleId).sorted == b.allImages.map(_.sampleId).sorted)
+    assert(h.encoderCells.flatten.flatten.map(_.sampleId).sorted == b.encoderCells.flatten.flatten.map(_.sampleId).sorted)
   }
 
   test("no packed sequence exceeds the context length") {
@@ -148,7 +148,7 @@ class PlannerSpec extends AnyFunSuite {
             rows.map(_.sampleId).sorted == ids &&
             rows.forall(r => seqAt.get((r.bucket, r.bin, r.seqId))
               .flatMap(_.segments.lift(r.pos)).exists(_.id == r.sampleId))),
-          "images once" -> (p.allImages.map(_.sampleId).sorted == imageIds),
+          "images once" -> (p.encoderCells.flatten.flatten.map(_.sampleId).sorted == imageIds),
           "images in their sequence's bin" -> (0 until t.world).forall(r =>
             (0 until bins).forall(m => p.encoderCells(r)(m).forall(img => seqBin(img.sampleId) == m))),
           "tokens conserved" -> (p.totalTokens == tokens),
@@ -164,10 +164,13 @@ class PlannerSpec extends AnyFunSuite {
     assert(imgs.map(_.sampleId) == Vector(2L) && imgs.head.patches == 7)
   }
 
-  test("hybrid plans on a dp-1024 navit_data mesh match their recorded digests") {
-    // The plan_2k step benchmark's inputs: 32 samples per DP rank, seed 12.
-    val big = ClientPlaceTree(pp = 1, dp = 1024, cp = 1, tp = 2)
-    val digests = Vector(0, 1).map { k =>
+  /** SHA-256 of the hybrid plans, steps 0 and 1, of the plan_2k step
+    * benchmark's inputs at `dp` (32 navit_data samples per DP rank, seed
+    * 12): their plan rows, then every encoder cell.
+    */
+  def navitPlanDigests(dp: Int): Vector[String] = {
+    val big = ClientPlaceTree(pp = 1, dp = dp, cp = 1, tp = 2)
+    Vector(0, 1).map { k =>
       val buf = Workload.stepBuffer(SourceCatalog.navitData, big.dp, 8, 32768L, step = k, seed = 12 * 1009L)
       val p   = Planner.hybridBalance(buf, big, 32768L, 8, bb, ModelConfigs.ViT2B)
       val sha = java.security.MessageDigest.getInstance("SHA-256")
@@ -176,9 +179,18 @@ class PlannerSpec extends AnyFunSuite {
         sha.update(s"$r $m ${p.encoderCells(r)(m).mkString(",")}\n".getBytes("UTF-8"))
       sha.digest().map("%02x".format(_)).mkString
     }
-    assert(digests == Vector(
+  }
+
+  test("hybrid plans on a dp-1024 navit_data mesh match their recorded digests") {
+    assert(navitPlanDigests(1024) == Vector(
       "fd212ccb041b6c21367fbc1d255ea490ce1a4c657650900565e43da2e2531c48",
       "97b771244b45f89e01a37a83f042d9a37d60c8cba27e51721a402ee8188f386c"))
+  }
+
+  test("hybrid plans on a dp-2048 navit_data mesh (world 4096) match their recorded digests") {
+    assert(navitPlanDigests(2048) == Vector(
+      "5b9cfc29a852b957d12bfe20adf10c475a17970625bb2b47bd94dc2dad029f88",
+      "d690519001e7ecd378975df1c88fc07a8cfb31d9acbcf18098e3c07a73ce7117"))
   }
 
   test("totalTokens matches the sum over packed sequences") {

@@ -52,6 +52,16 @@ class PrimitivesSpec extends AnyFunSuite {
     }
   }
 
+  test("plan prices each item once for both levels, and sequential not at all") {
+    val items = metas(60, seed = 5)
+    Seq("greedybinpack" -> items.size, "sequential" -> 0).foreach { case (method, expected) =>
+      val calls = new java.util.concurrent.atomic.AtomicInteger
+      val counting: SampleMeta => Double = { s => calls.incrementAndGet(); CostFns.seqLen(s) }
+      orch(items).distribute("DP").cost(counting).balance(method, 4).plan()
+      assert(calls.get == expected, s"$method priced ${calls.get} times for ${items.size} items")
+    }
+  }
+
   test("packed-sequence orchestration expands to member sample ids") {
     val seqs = repro.data.Packing.firstFit(metas(20), 1024)
     val orch = Orchestration.packed(tree, seqs).distribute("DP")

@@ -121,13 +121,21 @@ object Balancer {
     src
   }
 
-  /** `Vector.tabulate(n)(f)` with the `f(i)` computed on the common
-    * ForkJoin pool. Each result is written to its own index, so the output
-    * does not depend on scheduling when `f` is pure.
+  /** Below this many items in all, balancing them takes well under a
+    * millisecond, and handing the work to the ForkJoin pool saves nothing.
     */
-  private[core] def parTabulate[A: ClassTag](n: Int)(f: Int => A): Vector[A] = {
-    val out = new Array[A](n)
-    IntStream.range(0, n).parallel().forEach(i => out(i) = f(i))
+  private val MinParallelItems = 1024
+
+  /** `Vector.tabulate(n)(f)`, for `f(i)` that together work through
+    * `items` items. From `MinParallelItems` items on, the `f(i)` are
+    * computed on the common ForkJoin pool; below, on the calling thread.
+    * Each result is written to its own index, so the output does not
+    * depend on either choice or on scheduling when `f` is pure.
+    */
+  private[core] def parTabulate[A: ClassTag](n: Int, items: Int)(f: Int => A): Vector[A] = {
+    val out     = new Array[A](n)
+    val indices = IntStream.range(0, n)
+    (if (items >= MinParallelItems) indices.parallel() else indices).forEach(i => out(i) = f(i))
     out.toVector
   }
 

@@ -104,15 +104,15 @@ object Planner {
     * interleaved balancing of each microbatch's images across all world
     * ranks with the encoder cost model.
     *
-    * The bins' encoder balancing runs in parallel on the common ForkJoin
-    * pool. Each bin's result is written to the bin's own index, so the
-    * plan is the same as a sequential run's.
+    * From a buffer of 1024 samples on, the bins' encoder balancing runs
+    * in parallel on the common ForkJoin pool. Each bin's result is written
+    * to the bin's own index, so the plan is the same as a sequential run's.
     */
   def hybridBalance(buffer: Seq[SampleMeta], tree: ClientPlaceTree, ctx: Long,
                     nBins: Int, bb: ModelConfig, enc: ModelConfig): StepPlan = {
     val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb)
     val encCost  = CostFns.encoder(enc)
-    val perBin = Balancer.parTabulate(nBins) { m =>
+    val perBin = Balancer.parTabulate(nBins, buffer.size) { m =>
       Balancer.greedyBinPack(imagesOf(backbone.flatMap(_(m))), tree.world, encCost)
     }
     StepPlan(tree, nBins, backbone, Vector.tabulate(tree.world, nBins)((r, m) => perBin(m)(r)))

@@ -59,16 +59,16 @@ final case class Orchestration[T](
     * with the same method, and emit the [bucket][bin] -> items grid.
     *
     * `costFn` is called once per item, on the calling thread, and both
-    * levels read that price; `"sequential"` calls it not at all. The
-    * buckets' bin balancing runs in parallel on the common ForkJoin pool,
-    * each bucket's bins written to the bucket's own index, so the plan is
-    * the same as a sequential run's.
+    * levels read that price; `"sequential"` calls it not at all. From
+    * 1024 items on, the buckets' bin balancing runs in parallel on the
+    * common ForkJoin pool, each bucket's bins written to the bucket's own
+    * index, so the plan is the same as a sequential run's.
     */
   def plan(): Vector[Vector[Vector[T]]] = {
     lazy val costs = items.iterator.map(costFn).toArray
     val price      = (i: Int) => costs(i)
     val buckets    = Balancer.byName(method, items.indices, tree.dp, price)
-    Balancer.parTabulate(buckets.size)(b => Balancer.byName(method, buckets(b), nBins, price).map(_.map(items)))
+    Balancer.parTabulate(buckets.size, items.size)(b => Balancer.byName(method, buckets(b), nBins, price).map(_.map(items)))
   }
 
   /** Per bucket, the clients that fetch payloads after `broadcast_at`

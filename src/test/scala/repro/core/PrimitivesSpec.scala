@@ -62,6 +62,16 @@ class PrimitivesSpec extends AnyFunSuite {
     }
   }
 
+  test("plan equals its two levels balanced one after the other, on and off the pool") {
+    // 60 items balance on the calling thread, 3000 on the ForkJoin pool.
+    for (n <- Seq(60, 3000); method <- Seq("greedybinpack", "sequential")) {
+      val items = metas(n, seed = 7)
+      val serial = Balancer.byName(method, items, tree.dp, CostFns.seqLen)
+        .map(Balancer.byName(method, _, 4, CostFns.seqLen))
+      assert(orch(items).distribute("DP").cost(CostFns.seqLen).balance(method, 4).plan() == serial, s"$method, $n items")
+    }
+  }
+
   test("packed-sequence orchestration expands to member sample ids") {
     val seqs = repro.data.Packing.firstFit(metas(20), 1024)
     val orch = Orchestration.packed(tree, seqs).distribute("DP")

@@ -121,7 +121,7 @@ object Balancer {
     src
   }
 
-  /** Below this many items in all, balancing them takes well under a
+  /** Below this many items in all, balancing them takes under a
     * millisecond, and handing the work to the ForkJoin pool saves nothing.
     */
   private val MinParallelItems = 1024

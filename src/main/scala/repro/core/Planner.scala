@@ -112,7 +112,7 @@ object Planner {
                     nBins: Int, bb: ModelConfig, enc: ModelConfig): StepPlan = {
     val backbone = balancedBackbone(buffer, tree, ctx, nBins, bb)
     val encCost  = CostFns.encoder(enc)
-    val perBin = Balancer.parTabulate(nBins, buffer.size) { m =>
+    val perBin   = Balancer.parTabulate(nBins, buffer.size) { m =>
       Balancer.greedyBinPack(imagesOf(backbone.flatMap(_(m))), tree.world, encCost)
     }
     StepPlan(tree, nBins, backbone, Vector.tabulate(tree.world, nBins)((r, m) => perBin(m)(r)))

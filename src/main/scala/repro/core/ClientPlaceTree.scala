@@ -30,8 +30,6 @@ final case class ClientPlaceTree(pp: Int, dp: Int, cp: Int, tp: Int) {
     out.result()
   }
 
-  def client(rank: Int): ClientRef = clients(rank)
-
   /** Number of data buckets `distribute(axis)` creates: one per DP group.
     * `"DP"` is the only axis.
     */

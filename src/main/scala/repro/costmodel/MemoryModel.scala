@@ -26,10 +26,6 @@ object MemoryModel {
     require(gpus % gpusPerNode == 0, s"gpus=$gpus not divisible by gpusPerNode=$gpusPerNode")
     val dp: Int    = gpus / (tp * cp * pp)
     val nodes: Int = gpus / gpusPerNode
-    /** Model-parallel degree whose ranks redundantly re-load the same data
-      * when each rank owns a private dataloader (Fig. 6).
-      */
-    val redundancy: Int = tp * cp * pp
   }
 
   /** Sizing constants of a loader deployment. Defaults are calibrated to
@@ -60,7 +56,6 @@ object MemoryModel {
   /** Per-source file-access state sizes in bytes. */
   final case class SourceStates(mSrc: Seq[Double]) {
     def total: Double = mSrc.sum
-    def count: Int    = mSrc.size
   }
 
   /** Buffer bytes a loader needs to stage `samples` samples `depth` deep. */

@@ -14,7 +14,6 @@ import scala.collection.mutable
 final case class PackedSeq(seqId: Long, segments: Vector[SampleMeta]) {
   def tokens: Long            = segments.map(_.seqLen).sum
   def segmentLens: Seq[Long]  = segments.map(_.seqLen)
-  def imgPatches: Seq[Long]   = segments.map(_.imgPatches).filter(_ > 0)
   def padding(ctx: Long): Long = ctx - tokens
 }
 

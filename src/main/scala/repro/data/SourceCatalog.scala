@@ -38,8 +38,7 @@ final case class SourceSpec(
 
 /** A named group of sources (the paper's two workload dataset groups). */
 final case class DatasetGroup(name: String, sources: Seq[SourceSpec]) {
-  def take(n: Int): DatasetGroup = DatasetGroup(s"${name}_$n", sources.take(n))
-  def fileStates: Seq[Double]    = sources.map(_.fileStateBytes)
+  def fileStates: Seq[Double] = sources.map(_.fileStateBytes)
 }
 
 /** Synthetic stand-ins for the paper's workloads (Sec. 7.1):

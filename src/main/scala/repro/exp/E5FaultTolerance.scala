@@ -16,14 +16,14 @@ object E5FaultTolerance {
   def plannerCase(prefetch: Int): (Config, Vector[Trace]) = {
     val cfg = Config(iters = 60, iterSec = 1.0, fillSecPerBatch = 0.8,
       fetchBaseSec = 0.05, prefetch = prefetch, warmup = 5,
-      plannerFailEvery = 15, plannerRecoverSec = 2.6, totalLoaders = 64)
+      plannerFailEvery = 15, plannerRecoverSec = 2.6)
     (cfg, FaultSim.run(cfg))
   }
 
   def loaderCase(shadow: Boolean, killed: Int = 8): (Config, Vector[Trace]) = {
     val cfg = Config(iters = 60, iterSec = 1.0, fillSecPerBatch = 0.8,
       fetchBaseSec = 0.05, prefetch = 4, warmup = 5,
-      loaderFailStep = 35, loadersKilled = killed, totalLoaders = 64,
+      loaderFailStep = 35, loadersKilled = killed,
       shadow = shadow, loaderRecoverSec = 8.0, shadowPromoteSec = 0.05)
     (cfg, FaultSim.run(cfg))
   }

@@ -4,7 +4,6 @@ import java.util.{Collections, WeakHashMap}
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.{ClientPlaceTree, PlanRow}
 
@@ -23,8 +22,8 @@ import repro.core.{ClientPlaceTree, PlanRow}
   * constructor side collates them into packed sequences per (bucket, bin,
   * seqId). A step is one Spark job, and the step path neither plans a SQL
   * query over the sources nor reads `payload`. Delivery fans each sequence
-  * out to its bucket's clients from a literal client list, so it adds
-  * neither an exchange nor a broadcast.
+  * out to its bucket's clients on the same RDD, so it adds neither an
+  * exchange nor a broadcast.
   */
 object DataConstructor {
 
@@ -88,19 +87,24 @@ object DataConstructor {
 
   /** Delivery view: one row per (sequence row x consuming client), after
     * `broadcast_at` thinning; PP>0 clients are marked metadata-only and
-    * carry no payload bytes (Sec. 3 design rationale). Each row explodes
-    * the literal client list of its bucket, so delivery runs no join.
-    * `spark` is unused.
+    * carry no payload bytes (Sec. 3 design rationale). Output: `collated`'s
+    * columns (of which only `bucket` and `payload_bytes` are read) plus
+    * rank, pp, metadata_only and delivered_bytes. Rows fan out through a
+    * bucket -> clients table built on the driver, so the query does not
+    * grow with the mesh.
     */
   def deliver(spark: SparkSession, collated: DataFrame, tree: ClientPlaceTree,
               broadcastDims: Set[String]): DataFrame = {
-    val byBucket = tree.bucketClients("DP").map { cs =>
-      array(tree.broadcastFilter(cs, broadcastDims).map(c =>
-        struct(lit(c.rank) as "rank", lit(c.pp) as "pp", lit(tree.metadataOnly(c)) as "metadata_only")): _*)
+    val consumers = tree.bucketClients("DP").map { cs =>
+      tree.broadcastFilter(cs, broadcastDims).map(c => (c.rank, c.pp, tree.metadataOnly(c)))
     }
-    collated
-      .select(col("*"), inline(element_at(array(byBucket: _*), col("bucket") + 1))) // 1-based
-      .withColumn("delivered_bytes",
-                  when(col("metadata_only"), lit(0L)).otherwise(col("payload_bytes")))
+    val fanned = collated.rdd.flatMap { r =>
+      consumers(r.getAs[Int]("bucket")).map { case (rank, pp, metaOnly) =>
+        Row.fromSeq(r.toSeq ++ Seq(rank, pp, metaOnly, if (metaOnly) 0L else r.getAs[Long]("payload_bytes")))
+      }
+    }
+    spark.createDataFrame(fanned, collated.schema
+      .add("rank", IntegerType, nullable = false).add("pp", IntegerType, nullable = false)
+      .add("metadata_only", BooleanType, nullable = false).add("delivered_bytes", LongType, nullable = false))
   }
 }

@@ -32,7 +32,6 @@ object FaultSim {
       /** Step at which loaders are killed; negative = never. */
       loaderFailStep: Int = -1,
       loadersKilled: Int = 0,
-      totalLoaders: Int = 64,
       shadow: Boolean = false,
       loaderRecoverSec: Double = 8.0,
       shadowPromoteSec: Double = 0.05,

@@ -19,7 +19,7 @@ class ClientPlaceTreeSpec extends AnyFunSuite {
   }
 
   test("client(rank) roundtrips") {
-    (0 until t.world).foreach(r => assert(t.client(r).rank == r))
+    (0 until t.world).foreach(r => assert(t.clients(r).rank == r))
   }
 
   test("bucketCount per axis") {
@@ -59,7 +59,7 @@ class ClientPlaceTreeSpec extends AnyFunSuite {
 
   test("metadataOnly marks pipeline stages past the first") {
     assert(t.clients.count(t.metadataOnly) == 8)
-    assert(!t.metadataOnly(t.client(0)))
+    assert(!t.metadataOnly(t.clients(0)))
   }
 
   test("degenerate single-rank tree works") {

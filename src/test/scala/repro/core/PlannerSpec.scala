@@ -86,7 +86,7 @@ class PlannerSpec extends AnyFunSuite {
       seq <- bucket.flatten; s <- seq.segments
     } yield s.id -> b).toMap
     for (r <- 0 until tree.world; m <- 0 until nBins; img <- p.encoderCells(r)(m))
-      assert(tree.client(r).dp == sampleBucket(img.sampleId))
+      assert(tree.clients(r).dp == sampleBucket(img.sampleId))
   }
 
   test("seqIds are unique within a plan") {

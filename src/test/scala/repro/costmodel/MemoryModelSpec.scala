@@ -8,8 +8,8 @@ class MemoryModelSpec extends AnyFunSuite {
   val s    = LoaderSizing()
   val src  = SourceStates(Seq(1e8, 2e8, 3e8))
 
-  test("topology derives dp, nodes and redundancy") {
-    assert(topo.dp == 8 && topo.nodes == 8 && topo.redundancy == 8)
+  test("topology derives dp and nodes") {
+    assert(topo.dp == 8 && topo.nodes == 8)
   }
 
   test("invalid topologies are rejected") {

@@ -44,11 +44,6 @@ class PackingSpec extends AnyFunSuite {
     assert(seqs.head.segmentLens == Seq(400L, 300L, 200L))
   }
 
-  test("imgPatches lists only image-bearing segments") {
-    val seqs = Packing.firstFit(Vector(s(1, 100, 50), s(2, 100, 0)), 1000)
-    assert(seqs.head.imgPatches == Seq(50L))
-  }
-
   test("padding is the unfilled remainder of the context") {
     val seqs = Packing.firstFit(Vector(s(1, 700)), 1024)
     assert(seqs.head.padding(1024) == 324)

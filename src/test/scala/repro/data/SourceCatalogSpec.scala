@@ -65,9 +65,4 @@ class SourceCatalogSpec extends AnyFunSuite {
     assert(st.min > 4.0 * 1024 * 1024)
     assert(st.max > 1024.0 * 1024 * 1024)
   }
-
-  test("take builds a renamed prefix group") {
-    val g = SourceCatalog.navitData.take(10)
-    assert(g.sources.size == 10 && g.name == "navit_data_10")
-  }
 }

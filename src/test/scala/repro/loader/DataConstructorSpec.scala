@@ -11,6 +11,8 @@ import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropHelper, SparkSpec, SparkTestData}
 import repro.core.{ClientPlaceTree, Planner}
 import repro.costmodel.ModelConfigs
+import repro.data.SourceCatalog
+import repro.exp.Workload
 
 class DataConstructorSpec extends SparkSpec {
   val tree  = ClientPlaceTree(pp = 2, dp = 2, cp = 2, tp = 2)
@@ -157,8 +159,10 @@ class DataConstructorSpec extends SparkSpec {
 
   test("property: deliver sends each row to exactly its bucket's fetching clients") {
     import spark.implicits._
+    // Mostly small meshes, and one in four up to world 4096.
     val meshes = for {
-      pp <- Gen.choose(1, 3); dp <- Gen.choose(1, 3); cp <- Gen.choose(1, 3); tp <- Gen.choose(1, 3)
+      pp <- Gen.choose(1, 3); cp <- Gen.choose(1, 3); tp <- Gen.choose(1, 3)
+      dp <- Gen.frequency(3 -> Gen.choose(1, 3), 1 -> Gen.choose(1, 4096 / (pp * cp * tp)))
       dims <- Gen.someOf("TP", "CP", "DP")
     } yield (ClientPlaceTree(pp, dp, cp, tp), dims.toSet)
     PropHelper.check(Prop.forAll(meshes) { case (t, dims) =>
@@ -167,12 +171,50 @@ class DataConstructorSpec extends SparkSpec {
       val got = DataConstructor.deliver(spark, seqs.toDF("bucket", "seqId", "payload_bytes"), t, dims)
         .select("seqId", "rank", "pp", "metadata_only", "delivered_bytes").collect()
         .groupBy(_.getLong(0))
+      val buckets = t.bucketClients("DP")
       seqs.forall { case (b, seqId, bytes) =>
-        val want = t.broadcastFilter(t.bucketClients("DP")(b), dims).map(c => (c.rank, c.pp, c.pp > 0))
+        val want = t.broadcastFilter(buckets(b), dims).map(c => (c.rank, c.pp, c.pp > 0))
         val rs = got.getOrElse(seqId, Array.empty)
         rs.map(r => (r.getInt(1), r.getInt(2), r.getBoolean(3))).sorted.toSeq == want.sorted &&
           rs.forall(r => r.getLong(4) == (if (r.getBoolean(3)) 0L else bytes))
       }
     }, cases = 30)
+  }
+
+  test("deliver's query is the same size at dp 2 and dp 2048") {
+    import spark.implicits._
+    val seqs = Seq((0, 0L, 100L), (1, 1L, 0L)).toDF("bucket", "seqId", "payload_bytes")
+    def size(dp: Int): (Int, Int) = {
+      val q = DataConstructor.deliver(spark, seqs, ClientPlaceTree(pp = 2, dp = dp, cp = 1, tp = 2), Set("TP"))
+        .queryExecution.analyzed
+      (q.collect { case n => n }.size, q.collect { case n => n.expressions.map(_.collect { case e => e }.size).sum }.sum)
+    }
+    assert(size(2) == size(2048))
+  }
+
+  test("at dp 2048, tp 2, pp 2 each planned sequence reaches exactly its consumers, in pack order") {
+    import spark.implicits._
+    val big = ClientPlaceTree(pp = 2, dp = 2048, cp = 1, tp = 2)
+    val buf = Workload.stepBuffer(SourceCatalog.coyo700m, big.dp, nBins, ctx, step = 0, samplesPerRank = 8)
+    def payload(id: Long): Long = 3 * id % 1000
+    // One in-memory output per source, standing in for its loader's scan.
+    val outputs = buf.groupBy(_.source).values.toSeq.map(ms =>
+      ms.map(m => (m.id, m.seqLen, payload(m.id))).toDF("id", "seq_len", "payload_bytes"))
+    val p = Planner.backboneBalance(buf, big, ctx, nBins, ModelConfigs.Llama12B)
+    val got = DataConstructor.deliver(spark, DataConstructor.collate(spark, outputs, Planner.planRows(p), ctx),
+                                      big, Set("TP"))
+      .select("bucket", "bin", "seqId", "seg_lens", "tokens", "rank", "pp", "delivered_bytes").collect()
+      .groupBy(_.getLong(2))
+    val consumers = big.bucketClients("DP").map(cs => big.broadcastFilter(cs, Set("TP")).map(_.rank))
+    for ((bucket, b) <- p.backboneCells.zipWithIndex; (bin, m) <- bucket.zipWithIndex; seq <- bin) {
+      val rs = got(seq.seqId)
+      assert(rs.map(_.getInt(5)).sorted.toSeq == consumers(b), s"consumers of seq ${seq.seqId}")
+      assert(rs.forall(r => r.getInt(0) == b && r.getInt(1) == m && r.getSeq[Long](3) == seq.segmentLens &&
+                            r.getLong(4) == seq.tokens), s"seq ${seq.seqId}")
+      val bytes = seq.segments.map(s => payload(s.id)).sum
+      assert(rs.forall(r => r.getLong(7) == (if (r.getInt(6) > 0) 0L else bytes)), s"bytes of seq ${seq.seqId}")
+    }
+    assert(got.size == p.allSeqs.size)
+    assert(got.values.map(_.head.getLong(4)).sum == p.totalTokens)
   }
 }

@@ -18,8 +18,7 @@ final case class LoaderConfig(source: String, cluster: Int, actors: Int,
 /** Cluster resources available to the loader tier after subtracting the
   * Data Constructor (sized from the fixed batch) and Planner shares.
   */
-final case class ResourcePool(totalCores: Double, totalMemBytes: Double,
-                              constructorCores: Double, plannerCores: Double,
+final case class ResourcePool(totalCores: Double, constructorCores: Double, plannerCores: Double,
                               podMemBytes: Double) {
   def availableCores: Double = math.max(1.0, totalCores - constructorCores - plannerCores)
 }

@@ -3,8 +3,8 @@ package repro.core
 import java.util.stream.IntStream
 import scala.reflect.ClassTag
 
-/** Load-balancing methods behind the `balance(method, *)` primitive
-  * (Sec. 4.2): greedy bin-packing (longest-processing-time), plus the
+/** Load balancing: greedy bin-packing (longest-processing-time), the one
+  * method behind the `balance(method, *)` primitive (Sec. 4.2), plus the
   * order-preserving sequential dealer that models the no-scheduling
   * Vanilla baseline.
   */
@@ -138,14 +138,6 @@ object Balancer {
     (if (items >= MinParallelItems) indices.parallel() else indices).forEach(i => out(i) = f(i))
     out.toVector
   }
-
-  /** Dispatch by method name as the primitive's string argument does. */
-  def byName[T](method: String, items: Seq[T], nBins: Int, cost: T => Double): Vector[Vector[T]] =
-    method match {
-      case "sequential"    => sequential(items, nBins)
-      case "greedybinpack" => greedyBinPack(items, nBins, cost)
-      case other           => sys.error(s"unknown balance method $other")
-    }
 
   /** max/mean load across bins; 1.0 means perfectly balanced. */
   def imbalance[T](bins: Seq[Seq[T]], cost: T => Double): Double = imbalance(bins.map(_.map(cost).sum))

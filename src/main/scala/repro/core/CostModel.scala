@@ -25,9 +25,4 @@ object CostFns {
     */
   def encoder(enc: ModelConfig): ImageItem => Double =
     img => FlopsModel.image(enc, img.patches)
-
-  /** Pure sequence-length cost — the paper's text-pretraining example
-    * where length doubles as an HBM-occupation metric.
-    */
-  val seqLen: SampleMeta => Double = _.seqLen.toDouble
 }

@@ -24,7 +24,6 @@ final case class Orchestration[T](
     tree: ClientPlaceTree,
     items: Vector[T],
     costFn: T => Double = (_: T) => 1.0,
-    method: String = "sequential",
     nBins: Int = 1,
     broadcastDims: Set[String] = Set.empty,
 ) {
@@ -41,12 +40,12 @@ final case class Orchestration[T](
   def cost(fn: T => Double): Orchestration[T] = copy(costFn = fn)
 
   /** balance(method, *): choose the balancing method and microbatch bin
-    * count; `"sequential"` keeps arrival order inside each bucket (the
-    * paper's option to keep the global batch unchanged).
+    * count. Only `"greedybinpack"` is accepted; anything else fails here.
     */
   def balance(method: String, nBins: Int = 1): Orchestration[T] = {
+    require(method == "greedybinpack", s"unknown balance method $method")
     require(nBins >= 1)
-    copy(method = method, nBins = nBins)
+    copy(nBins = nBins)
   }
 
   /** broadcast_at(dim): the trainer broadcasts along `dim`, so only
@@ -54,21 +53,21 @@ final case class Orchestration[T](
     */
   def broadcastAt(dim: String): Orchestration[T] = copy(broadcastDims = broadcastDims + dim)
 
-  /** plan(): balance the items over the DP buckets, then each bucket's
-    * items over `nBins` microbatch bins (inter-microbatch balancing),
-    * with the same method, and emit the [bucket][bin] -> items grid.
+  /** plan(): greedy-pack the items over the DP buckets, then each
+    * bucket's items over `nBins` microbatch bins (inter-microbatch
+    * balancing), and emit the [bucket][bin] -> items grid.
     *
     * `costFn` is called once per item, on the calling thread, and both
-    * levels read that price; `"sequential"` calls it not at all. From
-    * 1024 items on, the buckets' bin balancing runs in parallel on the
-    * common ForkJoin pool, each bucket's bins written to the bucket's own
-    * index, so the plan is the same as a sequential run's.
+    * levels read that price. From 1024 items on, the buckets' bin
+    * balancing runs in parallel on the common ForkJoin pool, each bucket's
+    * bins written to the bucket's own index, so the plan is the same as a
+    * single-threaded run's.
     */
   def plan(): Vector[Vector[Vector[T]]] = {
-    lazy val costs = items.iterator.map(costFn).toArray
-    val price      = (i: Int) => costs(i)
-    val buckets    = Balancer.byName(method, items.indices, tree.dp, price)
-    Balancer.parTabulate(buckets.size, items.size)(b => Balancer.byName(method, buckets(b), nBins, price).map(_.map(items)))
+    val costs   = items.iterator.map(costFn).toArray
+    val price   = (i: Int) => costs(i)
+    val buckets = Balancer.greedyBinPack(items.indices, tree.dp, price)
+    Balancer.parTabulate(buckets.size, items.size)(b => Balancer.greedyBinPack(buckets(b), nBins, price).map(_.map(items)))
   }
 
   /** Per bucket, the clients that fetch payloads after `broadcast_at`

@@ -53,11 +53,6 @@ object MemoryModel {
       connStateBytes: Double = 0.25 * MiB,
   ) { require(workers >= 1 && prefetchDepth >= 1) }
 
-  /** Per-source file-access state sizes in bytes. */
-  final case class SourceStates(mSrc: Seq[Double]) {
-    def total: Double = mSrc.sum
-  }
-
   /** Buffer bytes a loader needs to stage `samples` samples `depth` deep. */
   private def buf(samples: Double, s: LoaderSizing): Double =
     samples * s.bytesPerSample * s.prefetchDepth
@@ -68,15 +63,16 @@ object MemoryModel {
   // every worker opens every source.
   // -------------------------------------------------------------------
 
-  /** Total colocated loader memory across the cluster. `perDpSamples` is
-    * the per-DP-rank batch each rank must stage (model-parallel ranks stage
+  /** Total colocated loader memory across the cluster. `mSrc` holds the
+    * per-source file-access state sizes in bytes; `perDpSamples` is the
+    * per-DP-rank batch each rank must stage (model-parallel ranks stage
     * the same batch redundantly).
     */
-  def colocatedTotal(t: TrainTopo, s: LoaderSizing, src: SourceStates, perDpSamples: Double): Double =
-    t.gpus.toDouble * s.workers * (src.total + buf(perDpSamples, s) + s.workerFixed)
+  def colocatedTotal(t: TrainTopo, s: LoaderSizing, mSrc: Seq[Double], perDpSamples: Double): Double =
+    t.gpus.toDouble * s.workers * (mSrc.sum + buf(perDpSamples, s) + s.workerFixed)
 
-  def colocatedPerNode(t: TrainTopo, s: LoaderSizing, src: SourceStates, perDpSamples: Double): Double =
-    colocatedTotal(t, s, src, perDpSamples) / t.nodes
+  def colocatedPerNode(t: TrainTopo, s: LoaderSizing, mSrc: Seq[Double], perDpSamples: Double): Double =
+    colocatedTotal(t, s, mSrc, perDpSamples) / t.nodes
 
   // -------------------------------------------------------------------
   // OVERLORD: Source Loader actors + per-DP-rank Data Constructors +
@@ -118,16 +114,16 @@ object MemoryModel {
   /** OVERLORD-Vanilla actor layout: `actors` DP-sharded loaders, each
     * holding every source's state (no source partitioning).
     */
-  def vanillaGroups(src: SourceStates, actors: Int, workersPerActor: Int, totalStaged: Double): Seq[ActorGroup] =
-    Seq(ActorGroup(src.total, actors, workersPerActor, totalStaged / actors))
+  def vanillaGroups(mSrc: Seq[Double], actors: Int, workersPerActor: Int, totalStaged: Double): Seq[ActorGroup] =
+    Seq(ActorGroup(mSrc.sum, actors, workersPerActor, totalStaged / actors))
 
   /** Uniform source partitioning: sources split into `sp` disjoint shards,
     * each served by `actorsPerShard` actors (Fig. 15 "SP=2").
     */
-  def sourceParallelGroups(src: SourceStates, sp: Int, actorsPerShard: Int,
+  def sourceParallelGroups(mSrc: Seq[Double], sp: Int, actorsPerShard: Int,
                            workersPerActor: Int, totalStaged: Double): Seq[ActorGroup] = {
     require(sp >= 1)
-    val shards = src.mSrc.zipWithIndex.groupBy(_._2 % sp).toSeq.sortBy(_._1)
+    val shards = mSrc.zipWithIndex.groupBy(_._2 % sp).toSeq.sortBy(_._1)
     shards.map { case (_, ss) =>
       ActorGroup(ss.map(_._1).sum, actorsPerShard, workersPerActor,
                  totalStaged / (sp * actorsPerShard))

@@ -47,7 +47,4 @@ object ModelConfigs {
   val encoders: Seq[ModelConfig]  = Seq(ViT1B, ViT2B)
   val backbones: Seq[ModelConfig] = Seq(Llama12B, TMoE25B, Mixtral8x7B)
   val all: Seq[ModelConfig]       = encoders ++ backbones
-
-  def byName(name: String): ModelConfig =
-    all.find(_.name == name).getOrElse(sys.error(s"unknown model $name"))
 }

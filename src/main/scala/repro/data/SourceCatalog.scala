@@ -97,11 +97,4 @@ object SourceCatalog {
   )
 
   val navit100: DatasetGroup = DatasetGroup("navit_100", navitData.sources.take(100))
-
-  def byName(name: String): DatasetGroup = name match {
-    case "coyo700m"   => coyo700m
-    case "navit_data" => navitData
-    case "navit_100"  => navit100
-    case other        => sys.error(s"unknown dataset group $other")
-  }
 }

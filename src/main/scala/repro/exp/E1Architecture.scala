@@ -74,13 +74,12 @@ object E1Architecture {
     SourcePartitioner.partition(group, pool(s), partParams)
 
   def memoryRows(s: Scale, group: DatasetGroup): Seq[MemRow] = {
-    val src  = SourceStates(group.fileStates)
     val base = trainerBasePerNode
 
     val colocSizing = sizing.copy(workers = colocatedWorkers(group))
-    val coloc = colocatedPerNode(s.topo, colocSizing, src, s.perDpBatch) + base
+    val coloc = colocatedPerNode(s.topo, colocSizing, group.fileStates, s.perDpBatch) + base
 
-    val vGroups = MemoryModel.vanillaGroups(src, vanillaActors, vanillaWorkers,
+    val vGroups = MemoryModel.vanillaGroups(group.fileStates, vanillaActors, vanillaWorkers,
       totalStaged = s.globalBatch.toDouble).map(_.copy(statesPerWorker = true))
     val vanilla = overlordPerNode(s.topo, sizing, vGroups, s.perDpBatch) + base
 
@@ -97,7 +96,6 @@ object E1Architecture {
 
   def pool(s: Scale): ResourcePool = ResourcePool(
     totalCores = s.topo.nodes * 96.0 / 2, // sidecar gets half the host cores
-    totalMemBytes = s.topo.nodes * 900.0 * GiB,
     constructorCores = s.topo.dp * 2.0, plannerCores = 4.0,
     podMemBytes = 200.0 * GiB)
 

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.core.{ClientPlaceTree, Planner}
 import repro.costmodel.{ModelConfig, ModelConfigs}
-import repro.data.SourceCatalog
+import repro.data.{DatasetGroup, SourceCatalog}
 import repro.sim.TrainSim
 
 /** E2 — end-to-end orchestration performance (paper Fig. 13, Sec. 7.3).
@@ -31,8 +31,7 @@ object E2Orchestration {
   val nBins                 = 8
   val steps                 = 3
 
-  def runCell(dataset: String, bb: ModelConfig, enc: ModelConfig, ctx: Long): Cell = {
-    val group = SourceCatalog.byName(dataset)
+  def runCell(group: DatasetGroup, bb: ModelConfig, enc: ModelConfig, ctx: Long): Cell = {
     val tps = Array(0.0, 0.0, 0.0)
     (0 until steps).foreach { step =>
       val buffer = Workload.stepBuffer(group, tree.dp, nBins, ctx, step)
@@ -42,11 +41,11 @@ object E2Orchestration {
         tps(i) += TrainSim.simulate(plan, bb, enc).throughputTokPerSec
       }
     }
-    Cell(dataset, bb.name, enc.name, ctx, tps(0) / steps, tps(1) / steps, tps(2) / steps)
+    Cell(group.name, bb.name, enc.name, ctx, tps(0) / steps, tps(1) / steps, tps(2) / steps)
   }
 
   def sweep(ctxs: Seq[Long] = Seq(4096, 8192, 16384, 32768),
-            datasets: Seq[String] = Seq("coyo700m", "navit_data"),
+            datasets: Seq[DatasetGroup] = Seq(SourceCatalog.coyo700m, SourceCatalog.navitData),
             backbones: Seq[ModelConfig] = ModelConfigs.backbones,
             encoders: Seq[ModelConfig] = ModelConfigs.encoders): Seq[Cell] =
     for {

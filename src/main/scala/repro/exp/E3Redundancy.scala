@@ -26,7 +26,7 @@ object E3Redundancy {
     * identical torch-style worker processes over the same unpartitioned
     * source set (coyo700m) — including per-worker reader states.
     */
-  val src: SourceStates = SourceStates(SourceCatalog.coyo700m.fileStates)
+  val src: Seq[Double] = SourceCatalog.coyo700m.fileStates
 
   final case class Row(cp: Int, pp: Int, ratio: Double)
 

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.costmodel.MemoryModel
 import repro.costmodel.MemoryModel._
-import repro.data.SourceCatalog
+import repro.data.{DatasetGroup, SourceCatalog}
 
 /** E4 — source redundancy removal (paper Fig. 15, Sec. 7.4): loader-tier
   * host memory with the trainer disabled, TP=16 / DP=2, batch 32,
@@ -27,13 +27,11 @@ object E4SourceParallel {
     * SP=2 halves the reader states each loader holds. Worker processes
     * duplicate their loader's shard states (Fig. 4 pathology).
     */
-  def loaderMemory(dataset: String, workers: Int, sp: Int): Double = {
+  def loaderMemory(group: DatasetGroup, workers: Int, sp: Int): Double = {
     require(topo.dp % sp == 0, "SP must divide DP")
-    val group = SourceCatalog.byName(dataset)
-    val src   = SourceStates(group.fileStates)
-    val s     = sizing(workers)
+    val s = sizing(workers)
     val groups = MemoryModel
-      .sourceParallelGroups(src, sp, actorsPerShard = topo.dp / sp, workers,
+      .sourceParallelGroups(group.fileStates, sp, actorsPerShard = topo.dp / sp, workers,
         totalStaged = perDpBatch * topo.dp)
       .map(_.copy(statesPerWorker = true))
     MemoryModel.loaderMem(groups, s)
@@ -41,10 +39,10 @@ object E4SourceParallel {
 
   def sweep(workerCounts: Seq[Int] = Seq(1, 2, 4, 8)): Seq[Row] =
     for {
-      ds <- Seq("navit_100", "navit_data")
+      ds <- Seq(SourceCatalog.navit100, SourceCatalog.navitData)
       w  <- workerCounts
       sp <- Seq(1, 2)
-    } yield Row(ds, w, sp, loaderMemory(ds, w, sp) / GiB)
+    } yield Row(ds.name, w, sp, loaderMemory(ds, w, sp) / GiB)
 
   def table(rows: Seq[Row]): String =
     Tables.render("E4 / Fig.15 — source parallelism vs loader host memory (TP=16, DP=2, bs=32, 32k)",

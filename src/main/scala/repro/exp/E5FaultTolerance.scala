@@ -20,10 +20,10 @@ object E5FaultTolerance {
     (cfg, FaultSim.run(cfg))
   }
 
-  def loaderCase(shadow: Boolean, killed: Int = 8): (Config, Vector[Trace]) = {
+  def loaderCase(shadow: Boolean): (Config, Vector[Trace]) = {
     val cfg = Config(iters = 60, iterSec = 1.0, fillSecPerBatch = 0.8,
       fetchBaseSec = 0.05, prefetch = 4, warmup = 5,
-      loaderFailStep = 35, loadersKilled = killed,
+      loaderFailStep = 35,
       shadow = shadow, loaderRecoverSec = 8.0, shadowPromoteSec = 0.05)
     (cfg, FaultSim.run(cfg))
   }

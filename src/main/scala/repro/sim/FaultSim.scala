@@ -31,7 +31,6 @@ object FaultSim {
       plannerRecoverSec: Double = 3.0,
       /** Step at which loaders are killed; negative = never. */
       loaderFailStep: Int = -1,
-      loadersKilled: Int = 0,
       shadow: Boolean = false,
       loaderRecoverSec: Double = 8.0,
       shadowPromoteSec: Double = 0.05,
@@ -60,7 +59,7 @@ object FaultSim {
         cfg.plannerFailEvery > 0 && step > cfg.warmup &&
           (step - cfg.warmup) % cfg.plannerFailEvery == 0
       if (plannerFails) prodAt = math.max(prodAt, t) + cfg.plannerRecoverSec
-      if (step == cfg.loaderFailStep && cfg.loadersKilled > 0) {
+      if (step == cfg.loaderFailStep) {
         val stall = if (cfg.shadow) cfg.shadowPromoteSec else cfg.loaderRecoverSec
         prodAt = math.max(prodAt, t) + stall
       }

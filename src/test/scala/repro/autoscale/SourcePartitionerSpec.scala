@@ -5,8 +5,7 @@ import repro.data.SourceCatalog
 
 class SourcePartitionerSpec extends AnyFunSuite {
   val group = SourceCatalog.navit100
-  val pool = ResourcePool(totalCores = 2000, totalMemBytes = 1e13,
-    constructorCores = 64, plannerCores = 4, podMemBytes = 64e9)
+  val pool = ResourcePool(totalCores = 2000, constructorCores = 64, plannerCores = 4, podMemBytes = 64e9)
   val params = SourcePartitioner.Params()
 
   lazy val cfgs = SourcePartitioner.partition(group, pool, params)

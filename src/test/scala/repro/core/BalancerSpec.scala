@@ -7,6 +7,11 @@ import repro.PropHelper.check
 class BalancerSpec extends AnyFunSuite {
   val id: Double => Double = x => x
 
+  /** Both methods, each as a (name, balance items over n bins) pair. */
+  val methods: Seq[(String, (Seq[Double], Int) => Vector[Vector[Double]])] = Seq(
+    "sequential"    -> ((xs: Seq[Double], n: Int) => Balancer.sequential(xs, n)),
+    "greedyBinPack" -> ((xs: Seq[Double], n: Int) => Balancer.greedyBinPack(xs, n, id)))
+
   def skewed(n: Int, seed: Long = 7): Vector[Double] = {
     val rnd = new scala.util.Random(seed)
     Vector.fill(n)(math.exp(rnd.nextGaussian() * 1.5) * 100)
@@ -69,14 +74,10 @@ class BalancerSpec extends AnyFunSuite {
   }
 
   test("empty input yields empty bins for all methods") {
-    Seq("sequential", "greedybinpack").foreach { m =>
-      val bins = Balancer.byName(m, Vector.empty[Double], 3, id)
-      assert(bins.size == 3 && bins.forall(_.isEmpty))
+    methods.foreach { case (m, balance) =>
+      val bins = balance(Vector.empty, 3)
+      assert(bins.size == 3 && bins.forall(_.isEmpty), m)
     }
-  }
-
-  test("byName rejects unknown methods") {
-    intercept[RuntimeException](Balancer.byName("zigzag", Vector(1.0), 2, id))
   }
 
   test("imbalance is 1.0 for perfectly balanced bins and >= 1 otherwise") {
@@ -87,8 +88,8 @@ class BalancerSpec extends AnyFunSuite {
 
   test("single bin gets everything") {
     val items = skewed(20)
-    Seq("sequential", "greedybinpack").foreach { m =>
-      assert(Balancer.byName(m, items, 1, id).head.sorted == items.sorted)
+    methods.foreach { case (m, balance) =>
+      assert(balance(items, 1).head.sorted == items.sorted, m)
     }
   }
 
@@ -99,8 +100,8 @@ class BalancerSpec extends AnyFunSuite {
 
   test("property: no method loses or duplicates items") {
     check(Prop.forAll(itemsGen, binsGen) { (items, n) =>
-      Seq("sequential", "greedybinpack").forall { m =>
-        val bins = Balancer.byName(m, items.toVector, n, id)
+      methods.forall { case (_, balance) =>
+        val bins = balance(items, n)
         bins.size == n && bins.flatten.sorted == items.sorted
       }
     })

@@ -5,7 +5,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import repro.PropHelper.check
 import repro.costmodel.ModelConfigs
-import repro.data.SourceCatalog
+import repro.data.{Packing, SourceCatalog}
 import repro.exp.Workload
 
 class PlannerSpec extends AnyFunSuite {
@@ -191,6 +191,17 @@ class PlannerSpec extends AnyFunSuite {
     assert(navitPlanDigests(2048) == Vector(
       "5b9cfc29a852b957d12bfe20adf10c475a17970625bb2b47bd94dc2dad029f88",
       "d690519001e7ecd378975df1c88fc07a8cfb31d9acbcf18098e3c07a73ce7117"))
+  }
+
+  test("stepbench's decompose chain returns hybridBalance's backbone grid") {
+    // stepbench builds outside the root project; this keeps the builder
+    // chain it calls, strings included, compiled and checked here.
+    val mesh   = ClientPlaceTree(pp = 1, dp = 8, cp = 1, tp = 2)
+    val buf    = Workload.stepBuffer(SourceCatalog.navitData, 8, 8, 32768, step = 0, seed = 1009L)
+    val chain  = Orchestration.packed(mesh, Packing.firstFit(buf, 32768)).distribute("DP")
+      .cost(CostFns.backbone(bb)).balance("greedybinpack", 8).broadcastAt("TP").plan()
+    val hybrid = Planner.hybridBalance(buf, mesh, 32768, 8, bb, ModelConfigs.ViT2B)
+    assert(chain == hybrid.backboneCells)
   }
 
   test("totalTokens matches the sum over packed sequences") {

@@ -12,12 +12,14 @@ class PrimitivesSpec extends AnyFunSuite {
 
   def orch(items: Vector[SampleMeta]): Orchestration[SampleMeta] = Orchestration(tree, items)
 
+  val seqLen: SampleMeta => Double = _.seqLen.toDouble
+
   test("distribute validates the axis eagerly") {
     Seq("BOGUS", "CP", "WORLD").foreach(a => intercept[RuntimeException](orch(metas(4)).distribute(a)))
   }
 
   test("plan covers every item exactly once") {
-    val p = orch(metas(40)).distribute("DP").cost(CostFns.seqLen).balance("greedybinpack", 4).plan()
+    val p = orch(metas(40)).distribute("DP").cost(seqLen).balance("greedybinpack", 4).plan()
     assert(p.flatten.flatten.map(_.id).sorted == (0L until 40L).toVector)
   }
 
@@ -26,12 +28,17 @@ class PrimitivesSpec extends AnyFunSuite {
     assert(p.size == 4 && p.forall(_.size == 4))
   }
 
+  test("balance rejects any method but greedybinpack, eagerly") {
+    Seq("sequential", "zigzag", "GreedyBinPack").foreach { m =>
+      intercept[IllegalArgumentException](orch(metas(4)).distribute("DP").balance(m, 4))
+    }
+  }
+
   test("balanced plan has lower bucket imbalance than sequential") {
     val items = metas(200, seed = 9)
-    val bal = orch(items).distribute("DP").cost(CostFns.seqLen).balance("greedybinpack", 4).plan()
-    val seq = orch(items).distribute("DP").cost(CostFns.seqLen).balance("sequential", 4).plan()
-    assert(Balancer.imbalance(bal.map(_.flatten), CostFns.seqLen) <=
-           Balancer.imbalance(seq.map(_.flatten), CostFns.seqLen))
+    val bal = orch(items).distribute("DP").cost(seqLen).balance("greedybinpack", 4).plan()
+    assert(Balancer.imbalance(bal.map(_.flatten), seqLen) <=
+           Balancer.imbalance(Balancer.sequential(items, tree.dp), seqLen))
   }
 
   test("broadcastAt(TP) halves the consumer set") {
@@ -42,33 +49,20 @@ class PrimitivesSpec extends AnyFunSuite {
     assert(thin.consumers.flatten.forall(_.tp == 0))
   }
 
-  test("sequential balance keeps arrival order inside buckets") {
-    val items = metas(24)
-    val p = orch(items).distribute("DP").cost(CostFns.seqLen)
-      .balance("sequential", 3).plan()
-    p.foreach { bucket =>
-      val inBucket = bucket.flatten.map(_.id)
-      assert(inBucket == inBucket.sorted) // sequential deal preserves ids
-    }
-  }
-
-  test("plan prices each item once for both levels, and sequential not at all") {
+  test("plan prices each item once for both levels") {
     val items = metas(60, seed = 5)
-    Seq("greedybinpack" -> items.size, "sequential" -> 0).foreach { case (method, expected) =>
-      val calls = new java.util.concurrent.atomic.AtomicInteger
-      val counting: SampleMeta => Double = { s => calls.incrementAndGet(); CostFns.seqLen(s) }
-      orch(items).distribute("DP").cost(counting).balance(method, 4).plan()
-      assert(calls.get == expected, s"$method priced ${calls.get} times for ${items.size} items")
-    }
+    val calls = new java.util.concurrent.atomic.AtomicInteger
+    val counting: SampleMeta => Double = { s => calls.incrementAndGet(); seqLen(s) }
+    orch(items).distribute("DP").cost(counting).balance("greedybinpack", 4).plan()
+    assert(calls.get == items.size, s"priced ${calls.get} times for ${items.size} items")
   }
 
   test("plan equals its two levels balanced one after the other, on and off the pool") {
     // 60 items balance on the calling thread, 3000 on the ForkJoin pool.
-    for (n <- Seq(60, 3000); method <- Seq("greedybinpack", "sequential")) {
+    for (n <- Seq(60, 3000)) {
       val items = metas(n, seed = 7)
-      val serial = Balancer.byName(method, items, tree.dp, CostFns.seqLen)
-        .map(Balancer.byName(method, _, 4, CostFns.seqLen))
-      assert(orch(items).distribute("DP").cost(CostFns.seqLen).balance(method, 4).plan() == serial, s"$method, $n items")
+      val serial = Balancer.greedyBinPack(items, tree.dp, seqLen).map(Balancer.greedyBinPack(_, 4, seqLen))
+      assert(orch(items).distribute("DP").cost(seqLen).balance("greedybinpack", 4).plan() == serial, s"$n items")
     }
   }
 

@@ -6,7 +6,7 @@ import MemoryModel._
 class MemoryModelSpec extends AnyFunSuite {
   val topo = TrainTopo(gpus = 64, gpusPerNode = 8, tp = 2, cp = 2, pp = 2)
   val s    = LoaderSizing()
-  val src  = SourceStates(Seq(1e8, 2e8, 3e8))
+  val src  = Seq(1e8, 2e8, 3e8)
 
   test("topology derives dp and nodes") {
     assert(topo.dp == 8 && topo.nodes == 8)
@@ -24,7 +24,7 @@ class MemoryModelSpec extends AnyFunSuite {
   }
 
   test("colocated memory grows with every added source") {
-    val more = SourceStates(src.mSrc :+ 5e8)
+    val more = src :+ 5e8
     assert(colocatedTotal(topo, s, more, 64) > colocatedTotal(topo, s, src, 64))
   }
 
@@ -64,14 +64,14 @@ class MemoryModelSpec extends AnyFunSuite {
 
   test("vanillaGroups hold the full source state in every actor") {
     val g = vanillaGroups(src, 4, 2, 64)
-    assert(g.size == 1 && g.head.heldStates == src.total && g.head.actors == 4)
+    assert(g.size == 1 && g.head.heldStates == src.sum && g.head.actors == 4)
     assert(g.head.stagedSamples == 16.0)
   }
 
   test("sourceParallelGroups partition states without loss") {
     val g = sourceParallelGroups(src, sp = 2, actorsPerShard = 1, workersPerActor = 1, totalStaged = 10)
     assert(g.size == 2)
-    assert(math.abs(g.map(_.heldStates).sum - src.total) < 1.0)
+    assert(math.abs(g.map(_.heldStates).sum - src.sum) < 1.0)
   }
 
   test("SP=2 halves per-shard state copies relative to SP=1") {

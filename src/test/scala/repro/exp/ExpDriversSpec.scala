@@ -32,10 +32,10 @@ class ExpDriversSpec extends AnyFunSuite {
   }
 
   test("E4 loader memory grows with workers and sources, shrinks with SP") {
-    val a = E4SourceParallel.loaderMemory("navit_100", 2, 1)
-    val b = E4SourceParallel.loaderMemory("navit_100", 4, 1)
-    val c = E4SourceParallel.loaderMemory("navit_data", 4, 1)
-    val d = E4SourceParallel.loaderMemory("navit_data", 4, 2)
+    val a = E4SourceParallel.loaderMemory(SourceCatalog.navit100, 2, 1)
+    val b = E4SourceParallel.loaderMemory(SourceCatalog.navit100, 4, 1)
+    val c = E4SourceParallel.loaderMemory(SourceCatalog.navitData, 4, 1)
+    val d = E4SourceParallel.loaderMemory(SourceCatalog.navitData, 4, 2)
     assert(b > a && c > b && d < c)
   }
 
@@ -58,7 +58,7 @@ class ExpDriversSpec extends AnyFunSuite {
   }
 
   test("E2 runCell produces ordered throughputs for one small cell") {
-    val c = E2Orchestration.runCell("coyo700m", repro.costmodel.ModelConfigs.Llama12B,
+    val c = E2Orchestration.runCell(SourceCatalog.coyo700m, repro.costmodel.ModelConfigs.Llama12B,
       repro.costmodel.ModelConfigs.ViT1B, 8192)
     assert(c.vanillaTps > 0)
     assert(c.hybridTps >= c.backboneTps * 0.99)

@@ -33,19 +33,19 @@ class FaultSimSpec extends AnyFunSuite {
   }
 
   test("cold loader restore stalls the pipeline at the kill step") {
-    val cfg = base.copy(loaderFailStep = 35, loadersKilled = 8, shadow = false,
+    val cfg = base.copy(loaderFailStep = 35, shadow = false,
                         loaderRecoverSec = 8.0)
     val sp = spikes(FaultSim.run(cfg), cfg)
     assert(sp.nonEmpty && sp.head >= 35 && sp.head <= 40)
   }
 
   test("shadow loader promotion leaves no visible spike") {
-    val cfg = base.copy(loaderFailStep = 35, loadersKilled = 8, shadow = true)
+    val cfg = base.copy(loaderFailStep = 35, shadow = true)
     assert(spikes(FaultSim.run(cfg), cfg).isEmpty)
   }
 
   test("shadow recovery total time beats cold restore") {
-    val cold   = base.copy(loaderFailStep = 35, loadersKilled = 8, shadow = false)
+    val cold   = base.copy(loaderFailStep = 35, shadow = false)
     val shadow = cold.copy(shadow = true)
     val tCold   = FaultSim.run(cold).map(_.fetchSec).sum
     val tShadow = FaultSim.run(shadow).map(_.fetchSec).sum
@@ -79,7 +79,7 @@ class FaultSimSpec extends AnyFunSuite {
   }
 
   test("fetch spikes bound the uncovered recovery window") {
-    val cfg = base.copy(loaderFailStep = 35, loadersKilled = 8, shadow = false,
+    val cfg = base.copy(loaderFailStep = 35, shadow = false,
                         loaderRecoverSec = 8.0)
     val worst = FaultSim.run(cfg).map(_.fetchSec).max
     assert(worst <= cfg.loaderRecoverSec + cfg.fillSecPerBatch + cfg.fetchBaseSec + 1e-9)
